@@ -76,6 +76,19 @@ class SizeRegime(Enum):
     PERFECT = "perfect"
 
 
+class _RankMaps(dict):
+    """agent -> {partner: 1-based rank}, each table built on first access."""
+
+    def __init__(self, prefs: tuple[tuple[int, ...], ...]):
+        super().__init__()
+        self.prefs = prefs
+
+    def __missing__(self, agent: int) -> dict[int, int]:
+        table = {j: r for r, j in enumerate(self.prefs[agent], start=1)}
+        self[agent] = table
+        return table
+
+
 @dataclass(frozen=True)
 class Instance:
     """A strict-preference matching instance.
@@ -125,12 +138,14 @@ class Instance:
         return max((len(p) for p in self.prefs[1:]), default=0)
 
     @cached_property
-    def ranks(self) -> tuple[dict[int, int], ...]:
-        """ranks[i][j] = 1-based position of j on i's list (absent: unacceptable)."""
-        tables: list[dict[int, int]] = [{}]
-        for i in self.agents():
-            tables.append({j: r for r, j in enumerate(self.prefs[i], start=1)})
-        return tuple(tables)
+    def ranks(self) -> dict[int, dict[int, int]]:
+        """ranks[i][j] = 1-based position of j on i's list (absent: unacceptable).
+
+        Each agent's table is built the first time it is asked for, so a
+        solver that stays near a few agents reads only their lists however
+        many agents the instance has.
+        """
+        return _RankMaps(self.prefs)
 
 
 def validate_instance(instance: Instance) -> None:

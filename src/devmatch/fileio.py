@@ -82,6 +82,9 @@ def parse_instance(text: str) -> tuple[Instance, frozenset[int]]:
         sides = tuple(int(ch) for ch in toks[1])
         pos += 1
 
+    # Checked before anything is sized by n, so a huge count fails here.
+    if len(lines) - pos < n:
+        raise SyntaxError(lines[-1][0], f"expected {n} prefs lines, found {len(lines) - pos}")
     prefs: list[tuple[int, ...] | None] = [None] * (n + 1)
     pref_line: dict[int, int] = {}
     for lineno, toks in lines[pos:]:

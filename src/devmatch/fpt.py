@@ -4,22 +4,32 @@ The search fixes, per configuration, how every deviator is matched (its
 candidate matching M_C) together with a small set B of tolerated blocking
 pairs / blocking agents (|B| <= k).  Agents that some deviator prefers to
 its assigned partner — and whose pair/agent is not tolerated — must end up
-matched strictly better than every such deviator, which is enforced by
-truncating their preference lists and solving a weighted matching problem
-over the remaining agents.  The first configuration whose extension exists
+matched strictly better than every such deviator.  The truncation records
+this as a sparse cut, {agent: rank at which its list is cut}, laid over the
+unchanged instance; a weighted matching over the remaining agents then reads
+every list through that cut.  The first configuration whose extension exists
 and verifies decides the outcome.
 
 Running time is exponential only in the number of deviators and the budget;
-everything else is polynomial.  In the any-size regime the solver touches
-no preference list of agents at acceptability-distance three or more from
-the deviator set; the module-level _list_hook lets tests observe every list
-read and check exactly that.
+everything else is polynomial.  In the any-size regime the work per
+configuration depends only on the deviators' neighbourhood, not on the
+number of agents: candidate matchings come from a backtracking walk that
+drops a clash as soon as it appears, the cut is a dict rather than a copy of
+the instance, and rank tables are built lazily, once per instance.  The
+solver touches no preference list of agents at acceptability-distance three
+or more from the deviator set; the module-level _list_hook lets tests
+observe every list read and check exactly that.
+
+optimize_fpt tries budgets 0, 1, 2, ... in turn.  What does not depend on
+the budget (the maximum matching size, floors, extension values) is computed
+once and shared by all of them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from contextvars import ContextVar
+from dataclasses import dataclass, field, replace
 
 from .classic import WeightedGraph, gale_shapley, max_cardinality_size, max_weight_matching
 from .core import (
@@ -51,12 +61,10 @@ def _list_of(inst: Instance, agent: int) -> tuple[int, ...]:
     return inst.prefs[agent]
 
 
-def _rank_map(inst: Instance, agent: int, cache: dict) -> dict[int, int]:
-    got = cache.get(agent)
-    if got is None:
-        got = {j: r for r, j in enumerate(_list_of(inst, agent), start=1)}
-        cache[agent] = got
-    return got
+def _rank_map(inst: Instance, agent: int) -> dict[int, int]:
+    if _list_hook is not None:
+        _list_hook(agent)
+    return inst.ranks[agent]
 
 
 @dataclass(frozen=True)
@@ -77,19 +85,82 @@ class CandidateConfiguration:
 
 @dataclass(frozen=True)
 class TruncationResult:
-    """Lists truncated so must-match agents only accept good-enough partners.
+    """The cut that makes must-match agents accept only good-enough partners.
 
-    must_match collects every agent some deviator prefers to its assigned
-    partner (its pair/agent not tolerated); each keeps only the entries
-    strictly better than its best-ranked such deviator.  rejected is set
-    when the configuration is self-contradictory, with reason saying why.
+    cut maps each must-match agent to the 1-based rank of its best-ranked
+    deviator that prefers it to its assigned partner (its pair/agent not
+    tolerated).  The agent's list is read as prefs[agent][:cut[agent] - 1],
+    the entries strictly better than that deviator; agents absent from cut
+    keep their whole list.  The instance itself is never copied.
+    must_match is the set of cut agents.  rejected is set when the
+    configuration is self-contradictory, with reason saying why.
     """
 
-    truncated_instance: Instance
+    cut: dict[int, int]
     must_match: frozenset[int]
     rejected: bool
     reason: str | None = None
     configuration: CandidateConfiguration | None = None
+
+
+def _deviator_matchings(inst: Instance, devs: list[int]):
+    """Yield every matching the deviators can choose, in product order.
+
+    Deviator devs[i] tries the entries of its list in rank order, then
+    unmatched, and devs[-1] varies fastest.  The walk backtracks as soon as
+    a choice clashes: a non-deviator partner already taken, a deviator that
+    already chose otherwise or is claimed by another deviator, or a claimed
+    deviator not picking its claimant.  So it yields exactly the matchings
+    of the full product of choices, in the product's order.  The walk keeps
+    its own stack, so its depth is not bounded by Python's recursion limit.
+    """
+    options = [_list_of(inst, d) + (None,) for d in devs]
+    dev_set = frozenset(devs)
+    claimant: dict[int, int] = {}
+    taken: set[int] = set()
+    pairs: list[tuple[int, int]] = []
+    placed: list[int | None] = []  # per placed deviator: the partner it took
+    tried = [0] * len(devs)  # per deviator: options tried so far
+
+    while True:
+        pos = len(placed)
+        if pos == len(devs):
+            yield Matching(frozenset(pairs))
+        else:
+            d = devs[pos]
+            must = claimant.get(d)
+            opts = options[pos]
+            ok = False
+            while not ok and tried[pos] < len(opts):
+                c = opts[tried[pos]]
+                tried[pos] += 1
+                if must is not None:
+                    ok, took = c == must, None
+                elif c is None or c == d:
+                    ok, took = True, None
+                elif c in dev_set:
+                    ok, took = c > d and c not in claimant, c
+                else:
+                    ok, took = c not in taken, c
+            if ok:
+                if took in dev_set:
+                    claimant[took] = d
+                    pairs.append((d, took))
+                elif took is not None:
+                    taken.add(took)
+                    pairs.append((d, took) if d < took else (took, d))
+                placed.append(took)
+                continue
+            tried[pos] = 0
+        if not placed:
+            return
+        took = placed.pop()
+        if took in dev_set:
+            del claimant[took]
+            pairs.pop()
+        elif took is not None:
+            taken.remove(took)
+            pairs.pop()
 
 
 def enumerate_configurations(p: DeviatorProblem, k: int):
@@ -98,7 +169,7 @@ def enumerate_configurations(p: DeviatorProblem, k: int):
     Deviators are processed in ascending id; each picks a partner from its
     own list in rank order, or unmatched last.  Combinations that are not
     matchings (a deviator pair without reciprocity, or a partner claimed
-    twice) are discarded.  Each matching is then crossed with every
+    twice) never appear.  Each matching is then crossed with every
     tolerated set: sizes 0..k, lexicographic within a size, drawn from the
     canonical deviator pairs (pair objective; sets clashing with the
     matching are skipped) or from the deviators themselves (agent
@@ -106,10 +177,8 @@ def enumerate_configurations(p: DeviatorProblem, k: int):
     """
     inst = p.instance
     devs = sorted(p.deviators)
-    dev_pos = {d: i for i, d in enumerate(devs)}
-    options = [list(_list_of(inst, d)) + [None] for d in devs]
-
-    if p.objective is Objective.BLOCKING_PAIRS:
+    by_pairs = p.objective is Objective.BLOCKING_PAIRS
+    if by_pairs:
         pool = sorted(
             {(d, r) if d < r else (r, d) for d in devs for r in _list_of(inst, d)}
         )
@@ -117,33 +186,10 @@ def enumerate_configurations(p: DeviatorProblem, k: int):
         pool = devs
 
     index = 0
-    for combo in itertools.product(*options):
-        pairs = []
-        used: set[int] = set()
-        ok = True
-        for d, choice in zip(devs, combo):
-            if choice is None:
-                continue
-            if choice in dev_pos:
-                if combo[dev_pos[choice]] != d:
-                    ok = False
-                    break
-                if d < choice:
-                    pairs.append((d, choice))
-            else:
-                if choice in used:
-                    ok = False
-                    break
-                used.add(choice)
-                pairs.append((d, choice) if d < choice else (choice, d))
-        if not ok:
-            continue
-        m_c = Matching(frozenset(pairs))
+    for m_c in _deviator_matchings(inst, devs):
         for size in range(k + 1):
             for blocked in itertools.combinations(pool, size):
-                if p.objective is Objective.BLOCKING_PAIRS and any(
-                    b in m_c.pairs for b in blocked
-                ):
+                if by_pairs and not m_c.pairs.isdisjoint(blocked):
                     continue
                 yield CandidateConfiguration(m_c, frozenset(blocked), index)
                 index += 1
@@ -152,60 +198,48 @@ def enumerate_configurations(p: DeviatorProblem, k: int):
 def truncate_and_collect(p: DeviatorProblem, cfg: CandidateConfiguration) -> TruncationResult:
     """Apply the must-match truncation rule for one configuration.
 
-    Scans all deviators first and truncates afterwards, so an agent
-    triggered by several deviators is cut once, at the best-ranked one.
-    Rejects when tolerated pairs overlap the candidate matching or when a
-    matched pair loses a member's entry to the truncation.
+    Scans all deviators first and cuts afterwards, so an agent triggered by
+    several deviators is cut once, at the best-ranked one.  Rejects when
+    tolerated pairs overlap the candidate matching or when a matched pair
+    loses a member's entry to the cut.  Reads only the deviators' lists and
+    their entries' rank tables.
     """
     inst = p.instance
     m_c = cfg.candidate_matching
-    rcache: dict[int, dict[int, int]] = {}
+    by_pairs = p.objective is Objective.BLOCKING_PAIRS
 
-    if p.objective is Objective.BLOCKING_PAIRS and any(
-        b in m_c.pairs for b in cfg.blocked_set
-    ):
-        return TruncationResult(
-            inst, frozenset(), True, "tolerated pair is matched", cfg
-        )
+    if by_pairs and not cfg.blocked_set.isdisjoint(m_c.pairs):
+        return TruncationResult({}, frozenset(), True, "tolerated pair is matched", cfg)
 
     cut: dict[int, int] = {}
     for d in sorted(p.deviators):
-        if p.objective is Objective.BLOCKING_AGENTS and d in cfg.blocked_set:
+        if not by_pairs and d in cfg.blocked_set:
             continue
-        own = _rank_map(inst, d, rcache)
+        own = _list_of(inst, d)
         partner = m_c.partner_of(d)
-        bound = own[partner] if partner != d else _UNRANKED
-        for r in _list_of(inst, d):
-            if own[r] >= bound:
-                break
-            if p.objective is Objective.BLOCKING_PAIRS:
-                key = (d, r) if d < r else (r, d)
-                if key in cfg.blocked_set:
-                    continue
-            back = _rank_map(inst, r, rcache)[d]
-            if r not in cut or back < cut[r]:
+        better = own[: _rank_map(inst, d)[partner] - 1] if partner != d else own
+        for r in better:
+            if by_pairs and ((d, r) if d < r else (r, d)) in cfg.blocked_set:
+                continue
+            back = _rank_map(inst, r)[d]
+            if back < cut.get(r, _UNRANKED):
                 cut[r] = back
 
-    prefs = list(inst.prefs)
-    for r, stop in cut.items():
-        prefs[r] = prefs[r][: stop - 1]
-    truncated = Instance(inst.num_agents, tuple(prefs), inst.sides)
     must = frozenset(cut)
-
     for i, j in m_c.pairs:
         for a, b in ((i, j), (j, i)):
-            if a in cut and cut[a] <= _rank_map(inst, a, rcache)[b]:
+            if a in cut and cut[a] <= _rank_map(inst, a)[b]:
                 return TruncationResult(
-                    truncated,
+                    cut,
                     must,
                     True,
                     f"matched pair ({i}, {j}) falls to the truncation of {a}",
                     cfg,
                 )
-    return TruncationResult(truncated, must, False, None, cfg)
+    return TruncationResult(cut, must, False, None, cfg)
 
 
-def _ball_around_deviators(p: DeviatorProblem, rcache: dict) -> set[int]:
+def _ball_around_deviators(p: DeviatorProblem) -> set[int]:
     """Agents within acceptability distance two of the deviator set."""
     inst = p.instance
     level0 = sorted(p.deviators)
@@ -213,12 +247,12 @@ def _ball_around_deviators(p: DeviatorProblem, rcache: dict) -> set[int]:
     level1: list[int] = []
     for d in level0:
         for j in _list_of(inst, d):
-            if j not in ball and d in _rank_map(inst, j, rcache):
+            if j not in ball and d in _rank_map(inst, j):
                 ball.add(j)
                 level1.append(j)
     for v in level1:
         for j in _list_of(inst, v):
-            if j not in ball and v in _rank_map(inst, j, rcache):
+            if j not in ball and v in _rank_map(inst, j):
                 ball.add(j)
     return ball
 
@@ -228,46 +262,47 @@ def extend_via_weighted_matching(
 ) -> Matching | None:
     """Complete a truncated configuration by one weighted matching, or reject.
 
-    With a target size (maximum-cardinality and perfect regimes) the graph
-    spans every agent the candidate matching left unmatched, edge weights
-    n + |e ∩ Q| make the matching maximum-cardinality first and Q-covering
-    second, and the result is rejected unless all of Q is matched and the
-    combined size reaches the target.  Without one (any-size regime) the
-    graph only spans such agents within distance two of a deviator, weights
-    are |e ∩ Q|, and only Q coverage is required.  Returns the extension
-    matching alone; None means reject.
+    Lists are read through trunc.cut: agent i keeps prefs[i][:cut[i] - 1],
+    and j still accepts i when i ranks above cut.get(j, infinity) on j's
+    list.  With a target size (maximum-cardinality and perfect regimes) the
+    graph spans every agent the candidate matching left unmatched, edge
+    weights n + |e ∩ Q| make the matching maximum-cardinality first and
+    Q-covering second, and the result is rejected unless all of Q is matched
+    and the combined size reaches the target.  Without one (any-size regime)
+    the graph only spans such agents within distance two of a deviator,
+    weights are |e ∩ Q|, and only Q coverage is required.  Returns the
+    extension matching alone; None means reject.
     """
     inst = p.instance
     n = inst.num_agents
-    tr = trunc.truncated_instance
+    cut = trunc.cut
     m_c = trunc.configuration.candidate_matching
     matched = m_c.matched_agents()
     q = trunc.must_match
-    rcache: dict[int, dict[int, int]] = {}
 
     for r in q:
-        if r not in matched and not _list_of(tr, r):
+        if r not in matched and cut[r] == 1:
             return None
 
     if target_size is None:
         base = 0
-        orig_cache: dict[int, dict[int, int]] = {}
-        vertices = sorted(
-            v for v in _ball_around_deviators(p, orig_cache) if v not in matched
-        )
+        vertices = sorted(v for v in _ball_around_deviators(p) if v not in matched)
     else:
         base = n
         vertices = [v for v in inst.agents() if v not in matched]
 
     vset = set(vertices)
-    tcache: dict[int, dict[int, int]] = {}
     edges = []
     for i in vertices:
-        for j in _list_of(tr, i):
-            if i < j and j in vset and i in _rank_map(tr, j, tcache):
-                w = base + (i in q) + (j in q)
-                assert w <= n + 2
-                edges.append((i, j, w))
+        stop = cut.get(i)
+        own = _list_of(inst, i)
+        for j in own if stop is None else own[: stop - 1]:
+            if i < j and j in vset:
+                back = _rank_map(inst, j).get(i)
+                if back is not None and back < cut.get(j, _UNRANKED):
+                    w = base + (i in q) + (j in q)
+                    assert w <= n + 2
+                    edges.append((i, j, w))
     m_mw = max_weight_matching(WeightedGraph(frozenset(vertices), tuple(edges)))
 
     for r in q:
@@ -278,7 +313,7 @@ def extend_via_weighted_matching(
     return m_mw
 
 
-def _local_objective(p: DeviatorProblem, matching: Matching, rcache: dict) -> int:
+def _local_objective(p: DeviatorProblem, matching: Matching) -> int:
     """The deviator objective computed from deviator-side list scans only.
 
     Every blocking pair that counts contains a deviator, so scanning each
@@ -290,13 +325,13 @@ def _local_objective(p: DeviatorProblem, matching: Matching, rcache: dict) -> in
     pairs: set[tuple[int, int]] = set()
     agents: set[int] = set()
     for a in sorted(p.deviators):
-        own = _rank_map(inst, a, rcache)
+        own = _rank_map(inst, a)
         pa = matching.partner_of(a)
         bound = own.get(pa, _UNRANKED) if pa != a else _UNRANKED
         for x in _list_of(inst, a):
             if own[x] >= bound:
                 break
-            other = _rank_map(inst, x, rcache)
+            other = _rank_map(inst, x)
             px = matching.partner_of(x)
             limit = other.get(px, _UNRANKED) if px != x else _UNRANKED
             if other[a] < limit:
@@ -309,7 +344,7 @@ def _local_objective(p: DeviatorProblem, matching: Matching, rcache: dict) -> in
     return len(agents)
 
 
-def _fixed_internal_floor(p: DeviatorProblem, m_c: Matching, rcache: dict) -> int:
+def _fixed_internal_floor(p: DeviatorProblem, m_c: Matching) -> int:
     """Objective value already locked in by the candidate matching alone.
 
     Pairs whose two agents are both matched by M_C keep those partners in
@@ -321,14 +356,14 @@ def _fixed_internal_floor(p: DeviatorProblem, m_c: Matching, rcache: dict) -> in
     pairs: set[tuple[int, int]] = set()
     agents: set[int] = set()
     for a in sorted(p.deviators):
-        own = _rank_map(inst, a, rcache)
+        own = _rank_map(inst, a)
         bound = own[m_c.partner_of(a)] if m_c.is_matched(a) else _UNRANKED
         for x in _list_of(inst, a):
             if own[x] >= bound:
                 break
             if x not in matched:
                 continue
-            other = _rank_map(inst, x, rcache)
+            other = _rank_map(inst, x)
             if other[a] < other[m_c.partner_of(x)]:
                 pairs.add((a, x) if a < x else (x, a))
                 agents.add(a)
@@ -337,6 +372,41 @@ def _fixed_internal_floor(p: DeviatorProblem, m_c: Matching, rcache: dict) -> in
     if p.objective is Objective.BLOCKING_PAIRS:
         return len(pairs)
     return len(agents)
+
+
+@dataclass
+class _Sweep:
+    """The budget-independent part of a search, shared by its budgets.
+
+    problem is the search's problem with its budget left out.  target is
+    the maximum matching size (None in the any-size regime).  floors maps a
+    candidate matching's pairs to its fixed internal floor; values maps a
+    memo key (candidate matching, cut) to the value of its extension, or to
+    None when the extension is rejected.  Both depend on the configuration
+    alone, so every budget reuses them.  Only values are kept, not
+    matchings, which in the maximum-cardinality regime span the whole
+    instance: an extension is redone only when its value fits the budget,
+    which ends the search.
+    """
+
+    problem: DeviatorProblem
+    target: int | None
+    floors: dict = field(default_factory=dict)
+    values: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, p: DeviatorProblem) -> "_Sweep":
+        target = None
+        if p.size_regime is not SizeRegime.ANY:
+            target = max_cardinality_size(p.instance)
+        return cls(replace(p, budget=None), target)
+
+
+# The sweep of the optimize_fpt call in progress, so that each budget's
+# solve_fpt reuses what the smaller budgets found.  A context variable
+# rather than a parameter keeps solve_fpt's signature, and optimize_fpt
+# resets it on the way out.
+_active_sweep: ContextVar[_Sweep | None] = ContextVar("fpt_active_sweep", default=None)
 
 
 def _note(p: DeviatorProblem, index: int | None = None) -> str:
@@ -356,55 +426,43 @@ def solve_fpt(p: DeviatorProblem) -> SolveOutcome:
     if p.budget is None:
         raise ValueError("solve_fpt needs an explicit budget")
     k = p.budget
-    inst = p.instance
+    sweep = _active_sweep.get()
+    if sweep is None or sweep.problem != replace(p, budget=None):
+        sweep = _Sweep.of(p)
+    if p.size_regime is SizeRegime.PERFECT and 2 * sweep.target != p.instance.num_agents:
+        return SolveOutcome.infeasible(_note(p))
 
-    if p.size_regime is SizeRegime.ANY:
-        target = None
-    else:
-        target = max_cardinality_size(inst)
-        if p.size_regime is SizeRegime.PERFECT and 2 * target != inst.num_agents:
-            return SolveOutcome.infeasible(_note(p))
-
-    rcache: dict[int, dict[int, int]] = {}
-    seen_mc: dict[frozenset, int] = {}
-    memo: dict = {}
     for cfg in enumerate_configurations(p, k):
-        floor = seen_mc.get(cfg.candidate_matching.pairs)
+        m_c = cfg.candidate_matching
+        floor = sweep.floors.get(m_c.pairs)
         if floor is None:
-            floor = _fixed_internal_floor(p, cfg.candidate_matching, rcache)
-            seen_mc[cfg.candidate_matching.pairs] = floor
+            floor = sweep.floors[m_c.pairs] = _fixed_internal_floor(p, m_c)
         if floor > k:
             continue
         trunc = truncate_and_collect(p, cfg)
         if trunc.rejected:
             continue
-        key = (
-            cfg.candidate_matching.pairs,
-            tuple(
-                sorted(
-                    (r, len(trunc.truncated_instance.prefs[r]))
-                    for r in trunc.must_match
-                )
-            ),
-        )
-        if key in memo:
-            continue
-        m_mw = extend_via_weighted_matching(p, trunc, target)
+        # A key met before, under this budget or a smaller one, is skipped
+        # unless its value now fits: its extension would come out the same.
+        key = (m_c.pairs, tuple(sorted(trunc.cut.items())))
+        if key in sweep.values:
+            known = sweep.values[key]
+            if known is None or known > k:
+                continue
+        m_mw = extend_via_weighted_matching(p, trunc, sweep.target)
         if m_mw is None:
-            memo[key] = None
+            sweep.values[key] = None
             continue
-        combined = Matching(frozenset(cfg.candidate_matching.pairs | m_mw.pairs))
+        combined = Matching(m_c.pairs | m_mw.pairs)
         if p.size_regime is SizeRegime.ANY:
-            value = _local_objective(p, combined, rcache)
-            accepted = value <= k
+            value = _local_objective(p, combined)
         else:
-            value = objective_value(
-                blocking_report(inst, combined, p.deviators), p.objective
-            )
-            accepted = verify_solution(p, combined, value)
-        if accepted:
+            value = objective_value(blocking_report(p.instance, combined, p.deviators), p.objective)
+        sweep.values[key] = value
+        if value <= k and (
+            p.size_regime is SizeRegime.ANY or verify_solution(p, combined, value)
+        ):
             return SolveOutcome.solution(combined, value, _note(p, cfg.index))
-        memo[key] = value
     return SolveOutcome.infeasible(_note(p))
 
 
@@ -415,21 +473,27 @@ def optimize_fpt(p: DeviatorProblem) -> SolveOutcome:
     pool's size add nothing, and the pool-sized budget always succeeds in
     the any-size and maximum-cardinality regimes.  The perfect regime raises
     PerfectInfeasible when the instance has no perfect matching at all.
+    The budgets share one _Sweep, so an extension that failed a smaller
+    budget is not redone unless its value fits.
     """
     if p.budget is not None:
         raise ValueError("optimize_fpt expects no budget")
     inst = p.instance
-    if p.size_regime is SizeRegime.PERFECT:
-        if 2 * max_cardinality_size(inst) != inst.num_agents:
-            raise PerfectInfeasible("no perfect matching exists")
+    sweep = _Sweep.of(p)
+    if p.size_regime is SizeRegime.PERFECT and 2 * sweep.target != inst.num_agents:
+        raise PerfectInfeasible("no perfect matching exists")
     if p.objective is Objective.BLOCKING_PAIRS:
         k_max = len({(d, r) if d < r else (r, d) for d in p.deviators for r in _list_of(inst, d)})
     else:
         k_max = len(p.deviators)
-    for k in range(k_max + 1):
-        out = solve_fpt(replace(p, budget=k))
-        if out.feasible:
-            return out
+    token = _active_sweep.set(sweep)
+    try:
+        for k in range(k_max + 1):
+            out = solve_fpt(replace(p, budget=k))
+            if out.feasible:
+                return out
+    finally:
+        _active_sweep.reset(token)
     raise AssertionError("the largest budget tolerates every candidate pair")
 
 
@@ -449,12 +513,11 @@ def solve_bipartite_restriction(p: DeviatorProblem, k: int = 0) -> Matching | No
         raise ValueError("the bipartite restriction works in the any-size regime")
     inst = p.instance
     n = inst.num_agents
-    rcache: dict[int, dict[int, int]] = {}
 
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     for i in inst.agents():
         for j in _list_of(inst, i):
-            if i in _rank_map(inst, j, rcache):
+            if i in _rank_map(inst, j):
                 if i in p.deviators or j in p.deviators:
                     adj[i].append(j)
 

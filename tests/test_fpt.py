@@ -1,12 +1,14 @@
 """Configuration-search solver: enumeration, truncation, extension, end-to-end."""
 
+import itertools
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from devmatch import fpt
+from devmatch import classic, fpt
 from devmatch.core import (
     Instance,
     Matching,
@@ -73,6 +75,65 @@ class TestEnumeration:
         ]
 
 
+def reference_configurations(p, k):
+    """The stream as the full product of deviator choices, filtered afterwards.
+
+    enumerate_configurations prunes clashes during its walk instead; it must
+    yield exactly this list, indices included.
+    """
+    inst = p.instance
+    devs = sorted(p.deviators)
+    dev_pos = {d: i for i, d in enumerate(devs)}
+    if p.objective is Objective.BLOCKING_PAIRS:
+        pool = sorted({(d, r) if d < r else (r, d) for d in devs for r in inst.prefs[d]})
+    else:
+        pool = devs
+    out = []
+    for combo in itertools.product(*(inst.prefs[d] + (None,) for d in devs)):
+        pairs, used = set(), set()
+        for d, choice in zip(devs, combo):
+            if choice is None:
+                continue
+            if choice in dev_pos:
+                if combo[dev_pos[choice]] != d:
+                    break
+                if d < choice:
+                    pairs.add((d, choice))
+            else:
+                if choice in used:
+                    break
+                used.add(choice)
+                pairs.add((d, choice) if d < choice else (choice, d))
+        else:
+            for size in range(k + 1):
+                for blocked in itertools.combinations(pool, size):
+                    if p.objective is Objective.BLOCKING_PAIRS and pairs & set(blocked):
+                        continue
+                    out.append((frozenset(pairs), frozenset(blocked), len(out)))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    frac=st.floats(0.0, 0.5),
+    cap=st.integers(1, 4),
+    model=st.sampled_from([GenModel.SRI_UNIFORM, GenModel.SMI_UNIFORM]),
+    objective=st.sampled_from(Objective),
+    k=st.integers(0, 2),
+)
+def test_enumeration_matches_product_then_filter(n, seed, frac, cap, model, objective, k):
+    prob = generate(GenSpec(n=n, model=model, list_cap=cap, deviator_fraction=frac, seed=seed))
+    assume(len(prob.deviators) <= 5)
+    p = problem(prob.instance, prob.deviators, objective=objective, budget=k)
+    got = [
+        (c.candidate_matching.pairs, c.blocked_set, c.index)
+        for c in enumerate_configurations(p, k)
+    ]
+    assert got == reference_configurations(p, k)
+
+
 class TestTruncation:
     def test_tolerated_matched_pair_is_rejected(self):
         p = problem(ordered_cycle(3), {1, 2, 3}, budget=1)
@@ -90,8 +151,9 @@ class TestTruncation:
         res = truncate_and_collect(p, cfg)
         assert not res.rejected
         assert res.must_match == frozenset({1})
-        assert res.truncated_instance.prefs[1] == ()
-        assert res.truncated_instance.prefs[2] == (1, 3)
+        assert res.cut == {1: 1}
+        assert ODD_PATH.prefs[1][: res.cut[1] - 1] == ()
+        assert 2 not in res.cut
 
     def test_matched_pair_outranked_by_cut(self):
         inst = Instance(4, ((), (3,), (3, 4), (2, 1), (2,)), None)
@@ -222,6 +284,86 @@ def test_any_regime_reads_only_nearby_lists():
         fpt._list_hook = None
     assert out.feasible
     assert read <= {1, 2, 3}
+
+
+def triangles_and_path(c, m):
+    """c all-deviator ordered 3-cycles (agents 1..3c) plus a conformist path of m."""
+    prefs = [()]
+    for t in range(c):
+        a = 3 * t + 1
+        prefs += [(a + 1, a + 2), (a + 2, a), (a, a + 1)]
+    path = range(3 * c + 1, 3 * c + m + 1)
+    for i in path:
+        prefs.append(tuple(j for j in (i - 1, i + 1) if j in path))
+    return problem(Instance(3 * c + m, tuple(prefs), None), range(1, 3 * c + 1))
+
+
+def test_search_cost_does_not_grow_with_the_padding(monkeypatch):
+    """No per-configuration copy of the instance, no list read beyond the triangles."""
+    original = Instance.__post_init__
+    inits = 0
+
+    def counted(self):
+        nonlocal inits
+        inits += 1
+        original(self)
+
+    results = []
+    for m in (20, 2000):
+        p = triangles_and_path(3, m)
+        read: set[int] = set()
+        inits = 0
+        monkeypatch.setattr(Instance, "__post_init__", counted)
+        monkeypatch.setattr(fpt, "_list_hook", read.add)
+        out = optimize_fpt(p)
+        monkeypatch.undo()
+        assert inits == 0
+        assert read <= set(range(1, 10))
+        results.append((out.value, out.certificate_note, len(read)))
+    assert results[0] == results[1]
+    assert results[0][0] == 3
+
+
+def test_budgets_of_one_optimize_share_their_work(monkeypatch):
+    """One maximum-matching size per optimize search; a failed extension is not redone."""
+    p = replace(triangles_and_path(2, 6), size_regime=SizeRegime.MAX_CARDINALITY)
+    sizes = []
+    keys = []
+    size_of = fpt.max_cardinality_size
+    extend = fpt.extend_via_weighted_matching
+
+    def counted_size(inst):
+        sizes.append(inst)
+        return size_of(inst)
+
+    def counted_extend(prob, trunc, target):
+        cfg = trunc.configuration
+        keys.append((cfg.candidate_matching.pairs, tuple(sorted(trunc.cut.items()))))
+        return extend(prob, trunc, target)
+
+    monkeypatch.setattr(fpt, "max_cardinality_size", counted_size)
+    monkeypatch.setattr(classic, "max_cardinality_size", counted_size)
+    monkeypatch.setattr(fpt, "extend_via_weighted_matching", counted_extend)
+    out = optimize_fpt(p)
+    assert out.value == 2
+    # once for the whole search, once in verify_solution on the accepted matching
+    assert len(sizes) == 2
+    # only the accepted extension may have been tried under a smaller budget
+    assert len(keys) - len(set(keys)) <= 1
+    assert fpt._active_sweep.get() is None
+
+
+def test_walk_over_a_thousand_deviators_reaches_configuration_zero():
+    """500 mutual first-choice pairs, all deviators: stable at configuration #0."""
+    prefs = [()]
+    for a in range(1, 1001, 2):
+        prefs += [(a + 1,), (a,)]
+    p = problem(Instance(1000, tuple(prefs), None), range(1, 1001), budget=0)
+    first = next(enumerate_configurations(p, 0))
+    assert first.candidate_matching.pairs == frozenset((a, a + 1) for a in range(1, 1001, 2))
+    out = solve_fpt(p)
+    assert out.value == 0
+    assert out.certificate_note.endswith("#0")
 
 
 def fpt_problems():

@@ -151,6 +151,13 @@ class TestCli:
         assert main(["validate", str(bad)]) == 3
         assert "line 3" in capsys.readouterr().err
 
+    def test_oversized_agent_count_is_an_input_error(self, tmp_path, capsys):
+        huge = tmp_path / "huge.dsm"
+        huge.write_text("dsm 1\nagents 1000000000\n")
+        assert main(["validate", str(huge)]) == 3
+        assert main(["solve", str(huge), "--optimize"]) == 3
+        assert "expected 1000000000 prefs lines" in capsys.readouterr().err
+
     def test_missing_file_is_an_input_error(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.dsm")]) == 3
 
