@@ -14,27 +14,10 @@ import json
 import random
 import sys
 import time
+from pathlib import Path
 
-
-def literal_masks(n):
-    full = (1 << (1 << n)) - 1
-    pos = []
-    for v in range(n):
-        block = (1 << (1 << v)) - 1
-        period = 1 << (v + 1)
-        mask = 0
-        for start in range(1 << v, 1 << n, period):
-            mask |= block << start
-        pos.append(mask)
-    return pos, full
-
-
-def clause_mask(clause, pos, full):
-    m = 0
-    for lit in clause:
-        pm = pos[abs(lit) - 1]
-        m |= pm if lit > 0 else (~pm & full)
-    return m
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from devmatch.reductions import clause_mask, literal_masks  # noqa: E402
 
 
 def sat_count(masks, full):

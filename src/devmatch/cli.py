@@ -9,7 +9,6 @@ input.  Output is deterministic for identical invocations.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from pathlib import Path
 
@@ -268,7 +267,7 @@ def _run_reduce(args) -> int:
         problem, index = reductions.sat_to_perfect_smi(formula)
         _emit(fileio.serialize_instance(problem.instance, problem.deviators), args.out)
         if args.witness:
-            assignment = _find_assignment(formula)
+            assignment = reductions.first_satisfying_assignment(formula)
             if assignment is None:
                 print("unsatisfiable", file=sys.stderr)
                 return 1
@@ -295,19 +294,6 @@ def _run_reduce(args) -> int:
         everyone = frozenset(padded.agents())
         _emit(fileio.serialize_instance(padded, everyone), args.out)
     return 0
-
-
-def _find_assignment(formula: reductions.CnfFormula):
-    """First satisfying assignment in lexicographic order, or None."""
-    if formula.num_vars > 24:
-        raise reductions.CnfError("witness search is exhaustive; needs at most 24 variables")
-    for bits in itertools.product((False, True), repeat=formula.num_vars):
-        if all(
-            any((lit > 0) == bits[abs(lit) - 1] for lit in clause)
-            for clause in formula.clauses
-        ):
-            return bits
-    return None
 
 
 def main(argv=None) -> int:

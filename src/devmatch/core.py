@@ -234,18 +234,44 @@ def is_perfect(instance: Instance, matching: Matching) -> bool:
     return 2 * len(matching.pairs) == instance.num_agents
 
 
+def _blocking_pairs_of(instance: Instance, matching: Matching, agents) -> frozenset:
+    """The blocking pairs with a member in agents; see blocking_report."""
+    ranks = instance.ranks
+    mate = matching._partner
+    found = set()
+    # an unmatched agent's partner ranks one past the end of its list
+    for i in agents:
+        own = ranks[i]
+        for j in instance.prefs[i][: own.get(mate.get(i), len(own) + 1) - 1]:
+            theirs = ranks[j]
+            back = theirs.get(i)
+            if back is not None and back < theirs.get(mate.get(j), len(theirs) + 1):
+                found.add((i, j) if i < j else (j, i))
+    return frozenset(found)
+
+
 @dataclass(frozen=True)
 class BlockingReport:
-    """All blocking pairs of a matching, plus the deviator-restricted view.
+    """The blocking pairs of a matching: the deviator view and the full one.
 
     deviator_pairs are the blocking pairs containing at least one deviator;
-    deviator_agents are the deviators contained in at least one blocking pair.
+    deviator_agents are the deviators contained in at least one blocking
+    pair.  blocking_pairs and blocking_agents cover every agent and are
+    computed on first access.
     """
 
-    blocking_pairs: frozenset[tuple[int, int]]
-    blocking_agents: frozenset[int]
+    instance: Instance = field(repr=False, compare=False)
+    matching: Matching = field(repr=False, compare=False)
     deviator_pairs: frozenset[tuple[int, int]]
     deviator_agents: frozenset[int]
+
+    @cached_property
+    def blocking_pairs(self) -> frozenset[tuple[int, int]]:
+        return _blocking_pairs_of(self.instance, self.matching, self.instance.agents())
+
+    @cached_property
+    def blocking_agents(self) -> frozenset[int]:
+        return frozenset(a for pair in self.blocking_pairs for a in pair)
 
 
 def blocking_report(
@@ -253,35 +279,19 @@ def blocking_report(
     matching: Matching,
     deviators: frozenset[int] = frozenset(),
 ) -> BlockingReport:
-    """Find every blocking pair and the subset touching the deviator set.
+    """Find the blocking pairs that touch the deviator set.
 
     A pair {i, j} blocks when i and j are mutually acceptable and each
     strictly prefers the other to its current partner; an unmatched agent
-    prefers every acceptable partner.  Runs in time linear in the total
-    preference-list length: each agent scans its own list only down to its
-    current partner's rank.
+    prefers every acceptable partner.  Both views run one scan: each scanned
+    agent reads its own list down to its partner, checking each entry
+    against that entry's rank table only.  The deviator view scans the
+    deviators alone, so its cost does not grow with the number of agents;
+    the full view scans every agent, in time linear in the total list length.
     """
-    ranks = instance.ranks
-    n = instance.num_agents
-    worst = n + 2
-    current = [0] * (n + 1)
-    for i in instance.agents():
-        p = matching.partner_of(i)
-        current[i] = ranks[i].get(p, worst) if p != i else worst
-    blocking = set()
-    for i in instance.agents():
-        ri = current[i]
-        for rank_j, j in enumerate(instance.prefs[i], start=1):
-            if rank_j >= ri:
-                break
-            back = ranks[j].get(i)
-            if back is not None and back < current[j]:
-                blocking.add((i, j) if i < j else (j, i))
-    bp = frozenset(blocking)
-    ba = frozenset(a for pair in bp for a in pair)
-    dp = frozenset(p for p in bp if p[0] in deviators or p[1] in deviators)
-    da = frozenset(ba & deviators)
-    return BlockingReport(bp, ba, dp, da)
+    pairs = _blocking_pairs_of(instance, matching, deviators)
+    agents = frozenset(a for pair in pairs for a in pair if a in deviators)
+    return BlockingReport(instance, matching, pairs, agents)
 
 
 def objective_value(report: BlockingReport, objective: Objective) -> int:

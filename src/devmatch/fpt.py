@@ -15,10 +15,10 @@ everything else is polynomial.  In the any-size regime the work per
 configuration depends only on the deviators' neighbourhood, not on the
 number of agents: candidate matchings come from a backtracking walk that
 drops a clash as soon as it appears, the cut is a dict rather than a copy of
-the instance, and rank tables are built lazily, once per instance.  The
-solver touches no preference list of agents at acceptability-distance three
-or more from the deviator set; the module-level _list_hook lets tests
-observe every list read and check exactly that.
+the instance, and values and floors come from core.blocking_report's
+deviator view.  The solver touches no preference list of agents at
+acceptability-distance three or more from the deviator set; the module-level
+_list_hook and the lazy Instance.ranks let tests check exactly that.
 
 optimize_fpt tries budgets 0, 1, 2, ... in turn.  What does not depend on
 the budget (the maximum matching size, floors, extension values) is computed
@@ -313,74 +313,13 @@ def extend_via_weighted_matching(
     return m_mw
 
 
-def _local_objective(p: DeviatorProblem, matching: Matching) -> int:
-    """The deviator objective computed from deviator-side list scans only.
-
-    Every blocking pair that counts contains a deviator, so scanning each
-    deviator's list above its current partner — and consulting only the
-    listed agents' own ranks — finds them all without touching lists of
-    agents far from the deviator set.
-    """
-    inst = p.instance
-    pairs: set[tuple[int, int]] = set()
-    agents: set[int] = set()
-    for a in sorted(p.deviators):
-        own = _rank_map(inst, a)
-        pa = matching.partner_of(a)
-        bound = own.get(pa, _UNRANKED) if pa != a else _UNRANKED
-        for x in _list_of(inst, a):
-            if own[x] >= bound:
-                break
-            other = _rank_map(inst, x)
-            px = matching.partner_of(x)
-            limit = other.get(px, _UNRANKED) if px != x else _UNRANKED
-            if other[a] < limit:
-                pairs.add((a, x) if a < x else (x, a))
-                agents.add(a)
-                if x in p.deviators:
-                    agents.add(x)
-    if p.objective is Objective.BLOCKING_PAIRS:
-        return len(pairs)
-    return len(agents)
-
-
-def _fixed_internal_floor(p: DeviatorProblem, m_c: Matching) -> int:
-    """Objective value already locked in by the candidate matching alone.
-
-    Pairs whose two agents are both matched by M_C keep those partners in
-    every completion, so blocking among them is decided now and lower-bounds
-    the final value for every tolerated set.
-    """
-    inst = p.instance
-    matched = m_c.matched_agents()
-    pairs: set[tuple[int, int]] = set()
-    agents: set[int] = set()
-    for a in sorted(p.deviators):
-        own = _rank_map(inst, a)
-        bound = own[m_c.partner_of(a)] if m_c.is_matched(a) else _UNRANKED
-        for x in _list_of(inst, a):
-            if own[x] >= bound:
-                break
-            if x not in matched:
-                continue
-            other = _rank_map(inst, x)
-            if other[a] < other[m_c.partner_of(x)]:
-                pairs.add((a, x) if a < x else (x, a))
-                agents.add(a)
-                if x in p.deviators:
-                    agents.add(x)
-    if p.objective is Objective.BLOCKING_PAIRS:
-        return len(pairs)
-    return len(agents)
-
-
 @dataclass
 class _Sweep:
     """The budget-independent part of a search, shared by its budgets.
 
     problem is the search's problem with its budget left out.  target is
     the maximum matching size (None in the any-size regime).  floors maps a
-    candidate matching's pairs to its fixed internal floor; values maps a
+    candidate matching's pairs to its floor (see floor); values maps a
     memo key (candidate matching, cut) to the value of its extension, or to
     None when the extension is rejected.  Both depend on the configuration
     alone, so every budget reuses them.  Only values are kept, not
@@ -400,6 +339,23 @@ class _Sweep:
         if p.size_regime is not SizeRegime.ANY:
             target = max_cardinality_size(p.instance)
         return cls(replace(p, budget=None), target)
+
+    def floor(self, m_c: Matching) -> int:
+        """Objective value already locked in by the candidate matching alone.
+
+        Counts the deviator blocking pairs of M_C whose end across from a
+        deviator is matched by M_C: that end keeps its partner in every
+        completion, so the pair blocks whatever the tolerated set.
+        """
+        devs = self.problem.deviators
+        locked = [
+            (i, j)
+            for i, j in blocking_report(self.problem.instance, m_c, devs).deviator_pairs
+            if (i in devs and m_c.is_matched(j)) or (j in devs and m_c.is_matched(i))
+        ]
+        if self.problem.objective is Objective.BLOCKING_AGENTS:
+            locked = {a for pair in locked for a in pair} & devs
+        return len(locked)
 
 
 # The sweep of the optimize_fpt call in progress, so that each budget's
@@ -436,7 +392,7 @@ def solve_fpt(p: DeviatorProblem) -> SolveOutcome:
         m_c = cfg.candidate_matching
         floor = sweep.floors.get(m_c.pairs)
         if floor is None:
-            floor = sweep.floors[m_c.pairs] = _fixed_internal_floor(p, m_c)
+            floor = sweep.floors[m_c.pairs] = sweep.floor(m_c)
         if floor > k:
             continue
         trunc = truncate_and_collect(p, cfg)
@@ -454,10 +410,7 @@ def solve_fpt(p: DeviatorProblem) -> SolveOutcome:
             sweep.values[key] = None
             continue
         combined = Matching(m_c.pairs | m_mw.pairs)
-        if p.size_regime is SizeRegime.ANY:
-            value = _local_objective(p, combined)
-        else:
-            value = objective_value(blocking_report(p.instance, combined, p.deviators), p.objective)
+        value = objective_value(blocking_report(p.instance, combined, p.deviators), p.objective)
         sweep.values[key] = value
         if value <= k and (
             p.size_regime is SizeRegime.ANY or verify_solution(p, combined, value)

@@ -152,18 +152,20 @@ def oracle_solve(problem: DeviatorProblem, cap: int = 14) -> OracleReport:
     best_ba: dict[int, tuple[int, Matching]] = {}
     stable_sets: list[frozenset[int]] = []
     seen = set()
+    devs = problem.deviators
     for m in enumerate_matchings(inst, SizeRegime.ANY, cap=cap):
-        rep = blocking_report(inst, m, problem.deviators)
+        # filtered here: independent of the deviator-local scan the solvers use
+        blocking = blocking_report(inst, m).blocking_pairs
         size = len(m.pairs)
-        vbp = len(rep.deviator_pairs)
-        vba = len(rep.deviator_agents)
+        vbp = sum(1 for i, j in blocking if i in devs or j in devs)
+        vba = len({a for pair in blocking for a in pair} & devs)
         cur = best_bp.get(size)
         if cur is None or vbp < cur[0]:
             best_bp[size] = (vbp, m)
         cur = best_ba.get(size)
         if cur is None or vba < cur[0]:
             best_ba[size] = (vba, m)
-        if not rep.blocking_pairs:
+        if not blocking:
             matched = m.matched_agents()
             if matched not in seen:
                 seen.add(matched)

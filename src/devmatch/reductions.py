@@ -134,6 +134,52 @@ def parse_cnf_22e3(text: str) -> CnfFormula:
     return f
 
 
+MAX_SEARCH_VARS = 24  # beyond it, one truth table takes more than 2 MB
+
+
+def literal_masks(num_vars: int) -> tuple[list[int], int]:
+    """Truth tables of variables 1..num_vars over all assignments, and all ones.
+
+    Bit a stands for the assignment that sets variable v true exactly when
+    bit num_vars - v of a is set: ascending a is itertools.product order.
+    """
+    if num_vars > MAX_SEARCH_VARS:
+        raise CnfError(f"witness search is exhaustive; needs at most {MAX_SEARCH_VARS} variables")
+    masks, size = [], 1
+    for _ in range(num_vars):  # prepend a slowest variable, doubling the table
+        masks = [((1 << size) - 1) << size] + [m | m << size for m in masks]
+        size *= 2
+    return masks, (1 << size) - 1
+
+
+def clause_mask(clause, masks: list[int], full: int) -> int:
+    """The assignments satisfying one clause, in literal_masks' bit order."""
+    m = 0
+    for lit in clause:
+        m |= masks[lit - 1] if lit > 0 else full ^ masks[-lit - 1]
+    return m
+
+
+def satisfying_mask(f: CnfFormula) -> int:
+    """Every satisfying assignment of f at once, in literal_masks' bit order."""
+    masks, full = literal_masks(f.num_vars)
+    acc = full
+    for clause in f.clauses:
+        acc &= clause_mask(clause, masks, full)
+        if not acc:
+            break
+    return acc
+
+
+def first_satisfying_assignment(f: CnfFormula) -> tuple[bool, ...] | None:
+    """The first satisfying assignment in itertools.product order, or None."""
+    acc = satisfying_mask(f)
+    if not acc:
+        return None
+    a = (acc & -acc).bit_length() - 1
+    return tuple(bool(a >> (f.num_vars - v) & 1) for v in range(1, f.num_vars + 1))
+
+
 @dataclass(frozen=True)
 class GadgetIndex:
     """Global agent ids for every gadget role, plus the connector wiring.

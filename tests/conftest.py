@@ -112,55 +112,6 @@ def random_22e3_formula(n: int, rng: random.Random):
             return CnfFormula(n, tuple(clauses))
 
 
-_LITERAL_MASKS: dict = {}
-
-
-def _literal_masks(n: int):
-    got = _LITERAL_MASKS.get(n)
-    if got is None:
-        full = (1 << (1 << n)) - 1
-        pos = []
-        for v in range(n):
-            step = 1 << v
-            pattern = ((1 << step) - 1) << step
-            mask = 0
-            for r in range(1 << (n - v - 1)):
-                mask |= pattern << (r << (v + 1))
-            pos.append(mask)
-        got = (pos, full)
-        _LITERAL_MASKS[n] = got
-    return got
-
-
-def satisfying_assignment_count(f) -> int:
-    """Number of satisfying assignments, evaluated bit-parallel over all 2^n."""
-    pos, full = _literal_masks(f.num_vars)
-    acc = full
-    for clause in f.clauses:
-        cm = 0
-        for lit in clause:
-            cm |= pos[lit - 1] if lit > 0 else (full ^ pos[-lit - 1])
-        acc &= cm
-        if not acc:
-            return 0
-    return acc.bit_count()
-
-
-def first_satisfying_assignment(f):
-    """Lexicographically first satisfying assignment, or None."""
-    pos, full = _literal_masks(f.num_vars)
-    acc = full
-    for clause in f.clauses:
-        cm = 0
-        for lit in clause:
-            cm |= pos[lit - 1] if lit > 0 else (full ^ pos[-lit - 1])
-        acc &= cm
-    if not acc:
-        return None
-    a = (acc & -acc).bit_length() - 1
-    return tuple(bool((a >> v) & 1) for v in range(f.num_vars))
-
-
 def reference_formula():
     """Four-clause formula over three variables with the (2,2) profile."""
     from devmatch.reductions import CnfFormula

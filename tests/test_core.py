@@ -148,6 +148,18 @@ class TestBlockingReport:
         assert rep.blocking_pairs == frozenset({(2, 3)})
         assert rep.deviator_agents == frozenset({2, 3})
 
+    def test_deviator_view_reads_only_the_deviators_neighbourhood(self):
+        n = 2000
+        prefs = [()] + [tuple(j for j in (i - 1, i + 1) if 1 <= j <= n) for i in range(1, n + 1)]
+        inst = Instance(n, tuple(prefs), None)
+        # agents 1..1000 are matched in pairs; the deviator 1001 is not
+        m = Matching(frozenset((i, i + 1) for i in range(1, 1000, 2)))
+        rep = blocking_report(inst, m, frozenset({1001}))
+        assert rep.deviator_pairs == frozenset({(1001, 1002)})
+        assert set(inst.ranks) <= {1000, 1001, 1002}
+        assert rep.deviator_pairs < rep.blocking_pairs  # the full view reads every list
+        assert len(inst.ranks) == n
+
 
 class TestVerifySolution:
     def test_empty_deviators_vacuous(self):
@@ -224,6 +236,9 @@ def test_deviator_pairs_monotone_in_deviator_set(spec, mseed, dseed):
     assert rep1.deviator_pairs <= rep2.deviator_pairs
     full = blocking_report(inst, m, frozenset(inst.agents()))
     assert full.deviator_pairs == full.blocking_pairs
+    # the deviator view is the full view restricted to the deviators
+    assert rep2.deviator_pairs == {p for p in rep2.blocking_pairs if set(p) & d2}
+    assert rep2.deviator_agents == rep2.blocking_agents & d2
 
 
 @settings(max_examples=120, deadline=None)

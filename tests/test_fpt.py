@@ -284,6 +284,7 @@ def test_any_regime_reads_only_nearby_lists():
         fpt._list_hook = None
     assert out.feasible
     assert read <= {1, 2, 3}
+    assert set(inst.ranks) <= {1, 2, 3}
 
 
 def triangles_and_path(c, m):
@@ -319,6 +320,7 @@ def test_search_cost_does_not_grow_with_the_padding(monkeypatch):
         monkeypatch.undo()
         assert inits == 0
         assert read <= set(range(1, 10))
+        assert set(p.instance.ranks) <= set(range(1, 10))
         results.append((out.value, out.certificate_note, len(read)))
     assert results[0] == results[1]
     assert results[0][0] == 3

@@ -15,6 +15,7 @@ from devmatch.core import (
 )
 from devmatch.oracle import enumerate_matchings, oracle_solve
 from devmatch.reductions import (
+    MAX_SEARCH_VARS,
     BadArity,
     BadOccurrence,
     CnfError,
@@ -23,15 +24,16 @@ from devmatch.reductions import (
     RegimeUnsupported,
     UnsatisfiedAssignment,
     complete_lists,
+    first_satisfying_assignment,
     minba_complete,
     parse_cnf_22e3,
     sat_to_perfect_smi,
+    satisfying_mask,
     smi_to_sri,
     witness_matching,
 )
 
 from conftest import (
-    first_satisfying_assignment,
     induce,
     problem,
     random_22e3_formula,
@@ -200,6 +202,32 @@ class TestWitness:
             if passed >= 6:
                 break
         assert passed >= 6
+
+
+def test_bitmask_search_matches_brute_force():
+    """The truth-table search agrees with a walk over itertools.product."""
+    rng = random.Random(20261018)
+    unsatisfiable = 0
+    for trial in range(80):
+        if trial % 2:
+            f = random_22e3_formula(rng.choice((3, 6, 9)), rng)
+        else:  # unconstrained clauses, so that unsatisfiable formulas turn up
+            n = rng.randint(3, 9)
+            f = CnfFormula(n, tuple(
+                tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+                for _ in range(rng.randint(1, 8 * n))
+            ))
+        models = [
+            bits
+            for bits in itertools.product((False, True), repeat=f.num_vars)
+            if all(any((lit > 0) == bits[abs(lit) - 1] for lit in c) for c in f.clauses)
+        ]
+        assert satisfying_mask(f).bit_count() == len(models)
+        assert first_satisfying_assignment(f) == (models[0] if models else None)
+        unsatisfiable += not models
+    assert unsatisfiable
+    with pytest.raises(CnfError):
+        first_satisfying_assignment(CnfFormula(MAX_SEARCH_VARS + 1, ((1, 2, 3),)))
 
 
 def test_single_path_composition_matches_direct_edge():
