@@ -3,7 +3,9 @@
 Subcommands: validate, solve, oracle, verify, gen, and reduce
 {sat2smi|smi2sri|complete|minba-complete}.  Exit codes: 0 success/feasible,
 1 infeasible or verification failed, 2 usage error, 3 unreadable or invalid
-input.  Output is deterministic for identical invocations.
+input.  Output is deterministic for identical invocations.  solve leaves the
+choice of engine to devmatch.solve and only parses, prints and maps errors
+to exit codes.
 """
 
 from __future__ import annotations
@@ -12,13 +14,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import fileio, fpt, oracle, reductions, shortlist
+from . import ENGINES, EngineUnsupported, fileio, fpt, oracle, reductions, shortlist, solve
 from .core import (
     DeviatorProblem,
     InstanceError,
     Objective,
     SizeRegime,
-    SolveOutcome,
     VerificationError,
     blocking_report,
     objective_value,
@@ -51,11 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a deviator problem")
     p.add_argument("instance")
     add_problem_flags(p)
-    p.add_argument(
-        "--engine",
-        choices=["auto", "shortlist", "fpt", "bipartite", "oracle"],
-        default="auto",
-    )
+    p.add_argument("--engine", choices=ENGINES, default="auto")
     p.add_argument("--max-oracle", type=int, default=14)
     p.add_argument("--out", help="write the matching to this file")
 
@@ -125,76 +122,18 @@ def _problem(args) -> DeviatorProblem:
     )
 
 
-def _oracle_outcome(problem: DeviatorProblem, cap: int) -> SolveOutcome:
-    report = oracle.oracle_solve(problem, cap=cap)
-    optimum = (
-        report.optimum_bp
-        if problem.objective is Objective.BLOCKING_PAIRS
-        else report.optimum_ba
-    )
-    if optimum is None or (problem.budget is not None and optimum > problem.budget):
-        return SolveOutcome.infeasible("oracle")
-    return SolveOutcome.solution(
-        report.witness_per_objective[problem.objective], optimum, "oracle"
-    )
-
-
-def _bipartite_outcome(problem: DeviatorProblem) -> SolveOutcome | None:
-    matching = fpt.solve_bipartite_restriction(problem)
-    if matching is None:
-        return None
-    report = blocking_report(problem.instance, matching, problem.deviators)
-    return SolveOutcome.solution(
-        matching, objective_value(report, problem.objective), "bipartite-restriction"
-    )
-
-
 def _run_solve(args, parser) -> int:
     problem = _problem(args)  # budget None (no --k) means optimize
-    engine = args.engine
-
-    if engine == "auto":
-        if problem.instance.d_max <= 2 and problem.size_regime is not SizeRegime.PERFECT:
-            engine = "shortlist"
-        elif problem.budget == 0 and problem.size_regime is SizeRegime.ANY:
-            outcome = _bipartite_outcome(problem)
-            if outcome is not None and outcome.value <= 0:
-                return _finish_solve(outcome, args)
-            engine = "fpt"
-        else:
-            engine = "fpt"
-
-    if engine == "shortlist":
-        if problem.size_regime is SizeRegime.PERFECT:
-            parser.error("the shortlist engine does not support --regime perfect")
-        solverun = (
-            shortlist.solve_shortlist_any
-            if problem.size_regime is SizeRegime.ANY
-            else shortlist.solve_shortlist_max
-        )
-        outcome = solverun(problem)
-    elif engine == "bipartite":
-        if problem.size_regime is not SizeRegime.ANY or problem.budget != 0:
-            parser.error("the bipartite engine needs --regime any and --k 0")
-        outcome = _bipartite_outcome(problem)
-        if outcome is None:
-            print("not applicable")
-            return 1
-    elif engine == "oracle":
-        outcome = _oracle_outcome(problem, args.max_oracle)
-    else:
-        if problem.budget is None:
-            try:
-                outcome = fpt.optimize_fpt(problem)
-            except fpt.PerfectInfeasible as exc:
-                print(f"infeasible: {exc}")
-                return 1
-        else:
-            outcome = fpt.solve_fpt(problem)
-    return _finish_solve(outcome, args)
-
-
-def _finish_solve(outcome: SolveOutcome, args) -> int:
+    try:
+        outcome = solve(problem, args.engine, args.max_oracle)
+    except fpt.PerfectInfeasible as exc:
+        print(f"infeasible: {exc}")
+        return 1
+    except EngineUnsupported as exc:
+        parser.error(str(exc))
+    if outcome is None:
+        print("not applicable")
+        return 1
     if not outcome.feasible:
         print("infeasible")
         print(f"algorithm {outcome.certificate_note}")

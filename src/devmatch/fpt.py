@@ -17,8 +17,9 @@ number of agents: candidate matchings come from a backtracking walk that
 drops a clash as soon as it appears, the cut is a dict rather than a copy of
 the instance, and values and floors come from core.blocking_report's
 deviator view.  The solver touches no preference list of agents at
-acceptability-distance three or more from the deviator set; the module-level
-_list_hook and the lazy Instance.ranks let tests check exactly that.
+acceptability-distance three or more from the deviator set; the lazy
+Instance.ranks, which holds a table for every agent whose list was read,
+lets tests check exactly that.
 
 optimize_fpt tries budgets 0, 1, 2, ... in turn.  What does not depend on
 the budget (the maximum matching size, floors, extension values) is computed
@@ -46,25 +47,9 @@ from .core import (
 
 _UNRANKED = 1 << 30
 
-# Test instrumentation: when set, called with an agent id every time this
-# module reads that agent's preference-list content.
-_list_hook = None
-
 
 class PerfectInfeasible(ValueError):
     """No perfect matching exists, so the perfect regime has no optimum."""
-
-
-def _list_of(inst: Instance, agent: int) -> tuple[int, ...]:
-    if _list_hook is not None:
-        _list_hook(agent)
-    return inst.prefs[agent]
-
-
-def _rank_map(inst: Instance, agent: int) -> dict[int, int]:
-    if _list_hook is not None:
-        _list_hook(agent)
-    return inst.ranks[agent]
 
 
 @dataclass(frozen=True)
@@ -114,7 +99,7 @@ def _deviator_matchings(inst: Instance, devs: list[int]):
     of the full product of choices, in the product's order.  The walk keeps
     its own stack, so its depth is not bounded by Python's recursion limit.
     """
-    options = [_list_of(inst, d) + (None,) for d in devs]
+    options = [inst.prefs[d] + (None,) for d in devs]
     dev_set = frozenset(devs)
     claimant: dict[int, int] = {}
     taken: set[int] = set()
@@ -163,6 +148,17 @@ def _deviator_matchings(inst: Instance, devs: list[int]):
             pairs.pop()
 
 
+def _tolerable(p: DeviatorProblem) -> list:
+    """The sorted pool tolerated sets are drawn from.
+
+    Canonical (smaller id first) deviator pairs under the pair objective,
+    the deviators themselves under the agent objective.
+    """
+    if p.objective is Objective.BLOCKING_AGENTS:
+        return sorted(p.deviators)
+    return sorted({(d, r) if d < r else (r, d) for d in p.deviators for r in p.instance.prefs[d]})
+
+
 def enumerate_configurations(p: DeviatorProblem, k: int):
     """Yield every candidate configuration for budget k, in a fixed order.
 
@@ -175,18 +171,10 @@ def enumerate_configurations(p: DeviatorProblem, k: int):
     matching are skipped) or from the deviators themselves (agent
     objective).
     """
-    inst = p.instance
-    devs = sorted(p.deviators)
     by_pairs = p.objective is Objective.BLOCKING_PAIRS
-    if by_pairs:
-        pool = sorted(
-            {(d, r) if d < r else (r, d) for d in devs for r in _list_of(inst, d)}
-        )
-    else:
-        pool = devs
-
+    pool = _tolerable(p)
     index = 0
-    for m_c in _deviator_matchings(inst, devs):
+    for m_c in _deviator_matchings(p.instance, sorted(p.deviators)):
         for size in range(k + 1):
             for blocked in itertools.combinations(pool, size):
                 if by_pairs and not m_c.pairs.isdisjoint(blocked):
@@ -215,20 +203,20 @@ def truncate_and_collect(p: DeviatorProblem, cfg: CandidateConfiguration) -> Tru
     for d in sorted(p.deviators):
         if not by_pairs and d in cfg.blocked_set:
             continue
-        own = _list_of(inst, d)
+        own = inst.prefs[d]
         partner = m_c.partner_of(d)
-        better = own[: _rank_map(inst, d)[partner] - 1] if partner != d else own
+        better = own[: inst.ranks[d][partner] - 1] if partner != d else own
         for r in better:
             if by_pairs and ((d, r) if d < r else (r, d)) in cfg.blocked_set:
                 continue
-            back = _rank_map(inst, r)[d]
+            back = inst.ranks[r][d]
             if back < cut.get(r, _UNRANKED):
                 cut[r] = back
 
     must = frozenset(cut)
     for i, j in m_c.pairs:
         for a, b in ((i, j), (j, i)):
-            if a in cut and cut[a] <= _rank_map(inst, a)[b]:
+            if a in cut and cut[a] <= inst.ranks[a][b]:
                 return TruncationResult(
                     cut,
                     must,
@@ -246,13 +234,13 @@ def _ball_around_deviators(p: DeviatorProblem) -> set[int]:
     ball = set(level0)
     level1: list[int] = []
     for d in level0:
-        for j in _list_of(inst, d):
-            if j not in ball and d in _rank_map(inst, j):
+        for j in inst.prefs[d]:
+            if j not in ball and d in inst.ranks[j]:
                 ball.add(j)
                 level1.append(j)
     for v in level1:
-        for j in _list_of(inst, v):
-            if j not in ball and v in _rank_map(inst, j):
+        for j in inst.prefs[v]:
+            if j not in ball and v in inst.ranks[j]:
                 ball.add(j)
     return ball
 
@@ -295,10 +283,10 @@ def extend_via_weighted_matching(
     edges = []
     for i in vertices:
         stop = cut.get(i)
-        own = _list_of(inst, i)
+        own = inst.prefs[i]
         for j in own if stop is None else own[: stop - 1]:
             if i < j and j in vset:
-                back = _rank_map(inst, j).get(i)
+                back = inst.ranks[j].get(i)
                 if back is not None and back < cut.get(j, _UNRANKED):
                     w = base + (i in q) + (j in q)
                     assert w <= n + 2
@@ -431,14 +419,10 @@ def optimize_fpt(p: DeviatorProblem) -> SolveOutcome:
     """
     if p.budget is not None:
         raise ValueError("optimize_fpt expects no budget")
-    inst = p.instance
     sweep = _Sweep.of(p)
-    if p.size_regime is SizeRegime.PERFECT and 2 * sweep.target != inst.num_agents:
+    if p.size_regime is SizeRegime.PERFECT and 2 * sweep.target != p.instance.num_agents:
         raise PerfectInfeasible("no perfect matching exists")
-    if p.objective is Objective.BLOCKING_PAIRS:
-        k_max = len({(d, r) if d < r else (r, d) for d in p.deviators for r in _list_of(inst, d)})
-    else:
-        k_max = len(p.deviators)
+    k_max = len(_tolerable(p))
     token = _active_sweep.set(sweep)
     try:
         for k in range(k_max + 1):
@@ -450,7 +434,7 @@ def optimize_fpt(p: DeviatorProblem) -> SolveOutcome:
     raise AssertionError("the largest budget tolerates every candidate pair")
 
 
-def solve_bipartite_restriction(p: DeviatorProblem, k: int = 0) -> Matching | None:
+def solve_bipartite_restriction(p: DeviatorProblem) -> Matching | None:
     """Zero-budget solve for instances bipartite after dropping conformist edges.
 
     Removing every conformist-conformist acceptability pair leaves exactly
@@ -460,8 +444,6 @@ def solve_bipartite_restriction(p: DeviatorProblem, k: int = 0) -> Matching | No
     in the original.  Returns None when the leftover graph is odd-cycled
     (not applicable).
     """
-    if k != 0:
-        raise ValueError("the bipartite restriction answers budget 0 only")
     if p.size_regime is not SizeRegime.ANY:
         raise ValueError("the bipartite restriction works in the any-size regime")
     inst = p.instance
@@ -469,8 +451,8 @@ def solve_bipartite_restriction(p: DeviatorProblem, k: int = 0) -> Matching | No
 
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     for i in inst.agents():
-        for j in _list_of(inst, i):
-            if i in _rank_map(inst, j):
+        for j in inst.prefs[i]:
+            if i in inst.ranks[j]:
                 if i in p.deviators or j in p.deviators:
                     adj[i].append(j)
 
