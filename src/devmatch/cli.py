@@ -21,8 +21,7 @@ from .core import (
     Objective,
     SizeRegime,
     VerificationError,
-    blocking_report,
-    objective_value,
+    checked_value,
     verify_solution,
 )
 from .generators import GenModel, GenSpec, InfeasibleSpec, generate
@@ -173,13 +172,12 @@ def _run_verify(args) -> int:
     for i, j in matching.pairs:
         if not 1 <= i <= n or not 1 <= j <= n:
             raise fileio.SyntaxError(0, f"pair ({i}, {j}) out of range 1..{n}")
-    if args.value is not None:
-        claimed = args.value
-    else:
-        report = blocking_report(problem.instance, matching, problem.deviators)
-        claimed = objective_value(report, problem.objective)
     try:
-        verify_solution(problem, matching, claimed, strict=True)
+        if args.value is None:
+            claimed = checked_value(problem, matching)
+        else:
+            claimed = args.value
+            verify_solution(problem, matching, claimed, strict=True)
     except VerificationError as exc:
         print(f"verification failed: {exc}")
         return 1

@@ -349,49 +349,55 @@ class SolveOutcome:
         return cls(None, None, certificate_note)
 
 
+def checked_value(problem: DeviatorProblem, matching: Matching, claimed_value=None) -> int:
+    """Check a claimed solution against its problem and return its recomputed value.
+
+    Verifies, in order: every pair is mutually acceptable; the matching
+    belongs to the regime's family (perfect matchings cover everyone, an
+    odd agent count can never be perfect; maximum-cardinality matchings are
+    compared against a freshly computed maximum); the recomputed objective
+    equals claimed_value, unless that is None; and the value respects the
+    budget when one is set.  The first failing check raises VerificationError.
+    """
+    inst = problem.instance
+    ranks = inst.ranks
+    for i, j in matching.pairs:
+        if i < 1 or j > inst.num_agents or j not in ranks[i] or i not in ranks[j]:
+            raise VerificationError(f"pair ({i}, {j}) is not mutually acceptable")
+
+    if problem.size_regime is SizeRegime.PERFECT:
+        if not is_perfect(inst, matching):
+            raise RegimeViolation("matching is not perfect")
+    elif problem.size_regime is SizeRegime.MAX_CARDINALITY:
+        from .classic import max_cardinality_size  # deferred: classic builds on core
+
+        if matching_size(matching) != max_cardinality_size(inst):
+            raise RegimeViolation("matching is not of maximum cardinality")
+
+    report = blocking_report(inst, matching, problem.deviators)
+    actual = objective_value(report, problem.objective)
+    if claimed_value is not None and actual != claimed_value:
+        raise ValueMismatch(f"claimed value {claimed_value}, recomputed {actual}")
+    if problem.budget is not None and actual > problem.budget:
+        raise BudgetExceeded(f"value {actual} exceeds budget {problem.budget}")
+    return actual
+
+
 def verify_solution(
     problem: DeviatorProblem,
     matching: Matching,
     claimed_value: int,
     strict: bool = False,
 ) -> bool:
-    """Check a claimed solution against its problem.
+    """True when checked_value(problem, matching, claimed_value) passes its checks.
 
-    Verifies, in order: every pair is mutually acceptable; the matching
-    belongs to the regime's family (perfect matchings cover everyone, an
-    odd agent count can never be perfect; maximum-cardinality matchings are
-    compared against a freshly computed maximum); the recomputed objective
-    equals claimed_value; and the value respects the budget when one is set.
-
-    Returns True when everything holds.  With strict=True the failing check
-    raises VerificationError (RegimeViolation, ValueMismatch, or
-    BudgetExceeded) instead of returning False.
+    With strict=True the failing check's VerificationError propagates
+    instead of False being returned.
     """
-    inst = problem.instance
-
-    def fail(exc: VerificationError) -> bool:
+    try:
+        checked_value(problem, matching, claimed_value)
+    except VerificationError:
         if strict:
-            raise exc
+            raise
         return False
-
-    ranks = inst.ranks
-    for i, j in matching.pairs:
-        if i < 1 or j > inst.num_agents or j not in ranks[i] or i not in ranks[j]:
-            return fail(VerificationError(f"pair ({i}, {j}) is not mutually acceptable"))
-
-    if problem.size_regime is SizeRegime.PERFECT:
-        if not is_perfect(inst, matching):
-            return fail(RegimeViolation("matching is not perfect"))
-    elif problem.size_regime is SizeRegime.MAX_CARDINALITY:
-        from .classic import max_cardinality_size  # deferred: classic builds on core
-
-        if matching_size(matching) != max_cardinality_size(inst):
-            return fail(RegimeViolation("matching is not of maximum cardinality"))
-
-    report = blocking_report(inst, matching, problem.deviators)
-    actual = objective_value(report, problem.objective)
-    if actual != claimed_value:
-        return fail(ValueMismatch(f"claimed value {claimed_value}, recomputed {actual}"))
-    if problem.budget is not None and actual > problem.budget:
-        return fail(BudgetExceeded(f"value {actual} exceeds budget {problem.budget}"))
     return True

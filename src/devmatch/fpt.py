@@ -24,6 +24,12 @@ lets tests check exactly that.
 optimize_fpt tries budgets 0, 1, 2, ... in turn.  What does not depend on
 the budget (the maximum matching size, floors, extension values) is computed
 once and shared by all of them.
+
+Both entry points search independent parts one by one and add up their
+optima, exactly: a blocking pair is an edge, so both objectives add up over
+parts no edge joins.  The parts are deviator groups with disjoint
+distance-two balls in the any-size regime, where blocking pairs depend only
+on partners that close, and else components, as matching sizes add up.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ import itertools
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
-from .classic import WeightedGraph, gale_shapley, max_cardinality_size, max_weight_matching
+from .classic import WeightedGraph, gale_shapley, max_cardinality_matching
+from .classic import max_cardinality_size, max_weight_matching
 from .core import (
     DeviatorProblem,
     Instance,
@@ -227,22 +234,42 @@ def truncate_and_collect(p: DeviatorProblem, cfg: CandidateConfiguration) -> Tru
     return TruncationResult(cut, must, False, None, cfg)
 
 
-def _ball_around_deviators(p: DeviatorProblem) -> set[int]:
-    """Agents within acceptability distance two of the deviator set."""
+def _find(parent, a: int) -> int:
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
+def _union(parent, a: int, b: int) -> None:
+    a, b = sorted((_find(parent, a), _find(parent, b)))
+    parent[b] = a
+
+
+def _ball_around_deviators(p: DeviatorProblem) -> dict[int, int]:
+    """Agents within distance two of the deviators, each with its group's least deviator.
+
+    Deviators whose balls overlap, directly or in a chain, share a group: each
+    edge walked joins the groups of its two ends.
+    """
     inst = p.instance
     level0 = sorted(p.deviators)
-    ball = set(level0)
+    near = {d: d for d in level0}  # a union-find forest whose roots are deviators
     level1: list[int] = []
     for d in level0:
         for j in inst.prefs[d]:
-            if j not in ball and d in inst.ranks[j]:
-                ball.add(j)
+            if j in near:
+                _union(near, d, j)
+            elif d in inst.ranks[j]:
+                near[j] = d
                 level1.append(j)
     for v in level1:
         for j in inst.prefs[v]:
-            if j not in ball and v in inst.ranks[j]:
-                ball.add(j)
-    return ball
+            if j in near:
+                _union(near, v, j)
+            elif v in inst.ranks[j]:
+                near[j] = v
+    return {a: _find(near, a) for a in near}
 
 
 def extend_via_weighted_matching(
@@ -345,6 +372,16 @@ class _Sweep:
             locked = {a for pair in locked for a in pair} & devs
         return len(locked)
 
+    def search(self, limit: int) -> SolveOutcome | None:
+        """The outcome at the first budget 0, 1, ..., limit that works, or None."""
+        token = _active_sweep.set(self)
+        try:
+            budgets = range(min(limit, len(_tolerable(self.problem))) + 1)
+            outs = (solve_fpt(replace(self.problem, budget=k)) for k in budgets)
+            return next((out for out in outs if out.feasible), None)
+        finally:
+            _active_sweep.reset(token)
+
 
 # The sweep of the optimize_fpt call in progress, so that each budget's
 # solve_fpt reuses what the smaller budgets found.  A context variable
@@ -353,7 +390,7 @@ class _Sweep:
 _active_sweep: ContextVar[_Sweep | None] = ContextVar("fpt_active_sweep", default=None)
 
 
-def _note(p: DeviatorProblem, index: int | None = None) -> str:
+def _note(p: DeviatorProblem, index: int | str | None = None) -> str:
     tag = f"fpt-{p.objective.value}-{p.size_regime.value}"
     return tag if index is None else f"{tag}#{index}"
 
@@ -372,6 +409,9 @@ def solve_fpt(p: DeviatorProblem) -> SolveOutcome:
     k = p.budget
     sweep = _active_sweep.get()
     if sweep is None or sweep.problem != replace(p, budget=None):
+        joined = _solve_in_parts(p)
+        if joined is not None:
+            return joined
         sweep = _Sweep.of(p)
     if p.size_regime is SizeRegime.PERFECT and 2 * sweep.target != p.instance.num_agents:
         return SolveOutcome.infeasible(_note(p))
@@ -419,19 +459,75 @@ def optimize_fpt(p: DeviatorProblem) -> SolveOutcome:
     """
     if p.budget is not None:
         raise ValueError("optimize_fpt expects no budget")
-    sweep = _Sweep.of(p)
-    if p.size_regime is SizeRegime.PERFECT and 2 * sweep.target != p.instance.num_agents:
-        raise PerfectInfeasible("no perfect matching exists")
-    k_max = len(_tolerable(p))
-    token = _active_sweep.set(sweep)
-    try:
-        for k in range(k_max + 1):
-            out = solve_fpt(replace(p, budget=k))
-            if out.feasible:
-                return out
-    finally:
-        _active_sweep.reset(token)
-    raise AssertionError("the largest budget tolerates every candidate pair")
+    return _solve_in_parts(p)
+
+
+def _restrict(inst: Instance, agents: list[int]) -> Instance:
+    """The sub-instance on a union of components; agents[i - 1] becomes agent i."""
+    new = {a: i for i, a in enumerate(agents, start=1)}
+    prefs = ((),) + tuple(tuple(new[j] for j in inst.prefs[a]) for a in agents)
+    return Instance(len(agents), prefs, inst.sides and tuple(inst.sides[a] for a in agents))
+
+
+def _solve_in_parts(p: DeviatorProblem) -> SolveOutcome | None:
+    """Optimise p's independent parts one by one and join them; see the module docstring.
+
+    Groups are searched on p's instance, components on sub-instances; the
+    search stops once the part optima pass the budget.  With a budget, one
+    part is left to solve_fpt's walk (None).
+    """
+    devs, idle = p.deviators, []
+    if p.size_regime is SizeRegime.ANY:
+        groups: dict[int, set[int]] = {}
+        for a, g in _ball_around_deviators(p).items():
+            if a in devs:
+                groups.setdefault(g, set()).add(a)
+        units = [groups[g] for g in sorted(groups)]
+    else:
+        parent = list(range(p.instance.num_agents + 1))
+        for i in p.instance.agents():
+            for j in p.instance.prefs[i]:
+                _union(parent, i, j)
+        comps: dict[int, list[int]] = {}
+        for a in p.instance.agents():
+            comps.setdefault(_find(parent, a), []).append(a)
+        roots = dict.fromkeys(_find(parent, d) for d in sorted(devs))
+        units = [comps[r] for r in roots]
+    if len(units) <= 1:
+        if p.budget is not None:
+            return None
+        parts = [(_Sweep.of(p), None)]
+    elif p.size_regime is SizeRegime.ANY:
+        parts = [(_Sweep.of(replace(p, deviators=g)), None) for g in units]
+    else:
+        idle = [a for r, c in comps.items() if r not in roots for a in c]
+        parts = [(_Sweep.of(replace(p, instance=_restrict(p.instance, c),
+                                    deviators={i for i, a in enumerate(c, 1) if a in devs})), c)
+                 for c in units]
+    m = max_cardinality_matching(_restrict(p.instance, idle)) if idle else Matching(frozenset())
+    pairs = {(idle[i - 1], idle[j - 1]) for i, j in m.pairs}
+    if p.size_regime is SizeRegime.PERFECT and (2 * len(pairs) != len(idle) or any(
+        2 * s.target != s.problem.instance.num_agents for s, _ in parts
+    )):
+        if p.budget is None:
+            raise PerfectInfeasible("no perfect matching exists")
+        return SolveOutcome.infeasible(_note(p))
+    total, indices = 0, []
+    for sweep, ids in parts:
+        out = sweep.search(_UNRANKED if p.budget is None else p.budget - total)
+        if out is None:
+            assert p.budget is not None, "the largest budget tolerates every candidate pair"
+            return SolveOutcome.infeasible(_note(p))
+        total += out.value
+        indices.append(out.certificate_note.rpartition("#")[2])
+        found = out.matching.pairs
+        pairs.update(found if ids is None else ((ids[i - 1], ids[j - 1]) for i, j in found))
+    matching = Matching(frozenset(pairs))
+    value = objective_value(blocking_report(p.instance, matching, p.deviators), p.objective)
+    assert value == total, f"joined value {value}, part optima add up to {total}"
+    # Parts all accepted at their configuration #0 make up the whole's #0.
+    index = "0" if set(indices) == {"0"} else "+".join(indices)
+    return SolveOutcome.solution(matching, value, _note(p, index))
 
 
 def solve_bipartite_restriction(p: DeviatorProblem) -> Matching | None:

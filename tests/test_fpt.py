@@ -315,9 +315,58 @@ def test_search_cost_does_not_grow_with_the_padding(monkeypatch):
     assert results[0][0] == 3
 
 
+def connected_triangles(c, m):
+    """triangles_and_path(c, m) with each triangle agent also accepting one path agent.
+
+    Triangle agent i and path agent 3c + i rank each other last, so m >= 3c
+    path agents are needed.  Neighbouring triangles are three edges apart,
+    so their distance-two balls overlap and the deviators form one group in
+    one connected component.  The optimum is c under bp and 2c under ba.
+    """
+    assert m >= 3 * c
+    prefs = [()]
+    for t in range(c):
+        a = 3 * t + 1
+        for s, own in enumerate(((a + 1, a + 2), (a + 2, a), (a, a + 1))):
+            prefs.append(own + (a + s + 3 * c,))
+    path = range(3 * c + 1, 3 * c + m + 1)
+    for i in path:
+        near = tuple(j for j in (i - 1, i + 1) if j in path)
+        prefs.append(near + ((i - 3 * c,) if i <= 6 * c else ()))
+    return problem(Instance(3 * c + m, tuple(prefs), None), range(1, 3 * c + 1))
+
+
+@pytest.mark.parametrize("c, m", [(1, 3), (1, 5), (2, 6)])
+def test_connected_triangles_optimum(c, m):
+    p = connected_triangles(c, m)
+    assert len(set(fpt._ball_around_deviators(p).values())) == 1
+    for regime in SizeRegime:
+        report = oracle_solve(replace(p, size_regime=regime))
+        assert (report.optimum_bp, report.optimum_ba) == (c, 2 * c)
+
+
+# Outcomes of the search before it split problems into parts; a problem with
+# one part must still give exactly these.
+CONNECTED_2_6 = {
+    "bp": (2, "#25", ((1, 2), (3, 9), (4, 5), (6, 12), (7, 8), (10, 11))),
+    "ba": (4, "#54", ((1, 2), (3, 9), (4, 5), (6, 12), (7, 8), (10, 11))),
+}
+
+
+@pytest.mark.parametrize("regime", list(SizeRegime))
+@pytest.mark.parametrize("objective", list(Objective))
+def test_one_part_outcome_is_unchanged(regime, objective):
+    p = replace(connected_triangles(2, 6), objective=objective, size_regime=regime)
+    out = optimize_fpt(p)
+    value, index, pairs = CONNECTED_2_6[objective.value]
+    assert out.value == value
+    assert out.certificate_note == f"fpt-{objective.value}-{regime.value}{index}"
+    assert tuple(sorted(out.matching.pairs)) == pairs
+
+
 def test_budgets_of_one_optimize_share_their_work(monkeypatch):
     """One maximum-matching size per optimize search; a failed extension is not redone."""
-    p = replace(triangles_and_path(2, 6), size_regime=SizeRegime.MAX_CARDINALITY)
+    p = replace(connected_triangles(2, 6), size_regime=SizeRegime.MAX_CARDINALITY)
     sizes = []
     keys = []
     size_of = fpt.max_cardinality_size
@@ -342,6 +391,25 @@ def test_budgets_of_one_optimize_share_their_work(monkeypatch):
     # only the accepted extension may have been tried under a smaller budget
     assert len(keys) - len(set(keys)) <= 1
     assert fpt._active_sweep.get() is None
+
+
+def test_split_search_sizes_only_the_deviator_components(monkeypatch):
+    """Each triangle is searched alone; no maximum-matching size of the whole instance."""
+    p = replace(triangles_and_path(2, 6), size_regime=SizeRegime.MAX_CARDINALITY)
+    sizes = []
+    size_of = fpt.max_cardinality_size
+
+    def counted_size(inst):
+        sizes.append(inst.num_agents)
+        return size_of(inst)
+
+    monkeypatch.setattr(fpt, "max_cardinality_size", counted_size)
+    monkeypatch.setattr(classic, "max_cardinality_size", counted_size)
+    out = optimize_fpt(p)
+    assert (out.value, out.certificate_note) == (2, "fpt-bp-max#2+2")
+    assert len(out.matching.pairs) == 2 + 3
+    assert 0 < len(sizes) <= 2 * 2
+    assert set(sizes) == {3}
 
 
 def test_walk_over_a_thousand_deviators_reaches_configuration_zero():

@@ -297,3 +297,33 @@ class TestCli:
         assert inst.num_agents == 6
         assert devs == frozenset(range(1, 7))
         assert inst.prefs[1] == (5, 2, 3, 4, 6)
+
+
+@pytest.mark.parametrize("regime", ["any", "max"])
+def test_verify_without_value_scans_once(tmp_path, capsys, monkeypatch, regime):
+    """devmatch verify takes the claimed value from the one scan that checks it."""
+    from devmatch import classic, cli, core
+
+    p = generate(GenSpec(n=40, list_cap=4, deviator_fraction=0.3, seed=7))
+    matching = classic.max_cardinality_matching(p.instance)
+    value = core.objective_value(
+        core.blocking_report(p.instance, matching, p.deviators), p.objective
+    )
+    inst_path = tmp_path / "inst.dsm"
+    inst_path.write_text(fileio.serialize_instance(p.instance, p.deviators))
+    match_path = tmp_path / "m.txt"
+    match_path.write_text(fileio.serialize_matching(matching))
+
+    scans = []
+    scan = core.blocking_report
+
+    def counted(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(core, "blocking_report", counted)
+    monkeypatch.setattr(cli, "blocking_report", counted, raising=False)
+    assert main(["verify", str(inst_path), "--matching", str(match_path),
+                 "--regime", regime]) == 0
+    assert capsys.readouterr().out == f"ok value {value}\n"
+    assert len(scans) == 1
