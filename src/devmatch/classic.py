@@ -1,8 +1,10 @@
-"""Classic stable-matching algorithms and weighted-matching building blocks.
+"""Classic stable-matching algorithms and matching building blocks.
 
 Two exact solvers for full stability (Gale-Shapley on sided instances,
-Irving's proposal/rotation algorithm on unsided ones) plus a small weighted
-graph type whose matching operations are delegated to networkx's blossom
+Irving's proposal/rotation algorithm on unsided ones); a maximum-cardinality
+matching of an instance's acceptability graph by Edmonds' blossom search,
+implemented here in O(V^3) time; and a small weighted graph type whose
+maximum-weight matching is delegated to networkx's weighted blossom
 implementation.  The graph type is what the configuration-search solver
 feeds its extension subproblems into.
 """
@@ -83,16 +85,104 @@ def matching_weight(graph: WeightedGraph, matching: Matching) -> int:
 
 
 def max_cardinality_matching(instance: Instance) -> Matching:
-    """A maximum matching of the instance's mutual-acceptability graph."""
+    """A maximum matching of the instance's mutual-acceptability graph.
+
+    Edmonds' cardinality blossom search (Edmonds 1965; Gabow 1976), in
+    O(V^3) time and O(V + E) space.  The adjacency lists keep each agent's
+    preference order and ignore one-sided entries.  A greedy pass in
+    ascending agent order matches each agent to its first free neighbour;
+    then each still exposed agent, in ascending order, grows one
+    alternating tree from itself breadth first, contracts each odd cycle it
+    closes into the cycle's base, and augments along the first path it
+    finds to another exposed agent.  An agent with no augmenting path never
+    gains one later, so one pass suffices.  Each search resets only the
+    agents it labelled.  The result depends only on the instance.
+    """
+    n = instance.num_agents
     ranks = instance.ranks
-    g = nx.Graph()
-    g.add_nodes_from(instance.agents())
-    for i in instance.agents():
-        for j in instance.prefs[i]:
-            if i < j and i in ranks[j]:
-                g.add_edge(i, j, weight=1)
-    pairs = nx.max_weight_matching(g, maxcardinality=True)
-    return Matching(frozenset(tuple(sorted(p)) for p in pairs))
+    adj = [()] + [
+        tuple(j for j in instance.prefs[i] if i in ranks[j]) for i in range(1, n + 1)
+    ]
+    mate = [0] * (n + 1)  # 0: exposed
+    for i in range(1, n + 1):
+        if not mate[i]:
+            for j in adj[i]:
+                if not mate[j]:
+                    mate[i], mate[j] = j, i
+                    break
+    base = list(range(n + 1))
+    # the way back to the root is x, parent[x], mate[parent[x]], parent[...], ...
+    parent = [0] * (n + 1)
+    even = [False] * (n + 1)  # the root, the mates of reached agents, blossoms
+    seen = [0] * (n + 1)  # stamps for the base-path walks of one contraction
+    stamp = 0
+    for root in range(1, n + 1):
+        if mate[root]:
+            continue
+        even[root] = True
+        tree = [root]
+        blooms = {}  # base -> members, for blossoms of more than one vertex
+        queue = [root]
+        head = 0
+        end = 0
+        while head < len(queue) and not end:
+            v = queue[head]
+            head += 1
+            for w in adj[v]:
+                if base[v] == base[w] or mate[v] == w:
+                    continue
+                if even[w]:
+                    # w is even too: contract the odd cycle through v and w
+                    stamp += 1
+                    a = v
+                    while True:  # mark v's base path up to the root
+                        a = base[a]
+                        seen[a] = stamp
+                        if a == root:
+                            break
+                        a = parent[mate[a]]
+                    b = base[w]
+                    while seen[b] != stamp:
+                        b = base[parent[mate[b]]]
+                    stamp += 1
+                    inner = []  # bases of the sub-blossoms the cycle absorbs
+                    for x, child in ((v, w), (w, v)):
+                        while base[x] != b:
+                            for c in (base[x], base[mate[x]]):
+                                if seen[c] != stamp:
+                                    seen[c] = stamp
+                                    inner.append(c)
+                            parent[x] = child
+                            child = mate[x]
+                            x = parent[child]
+                    bloom = blooms.setdefault(b, [b])
+                    for c in inner:
+                        for x in blooms.pop(c, (c,)):
+                            base[x] = b
+                            bloom.append(x)
+                            if not even[x]:
+                                even[x] = True
+                                queue.append(x)
+                elif not parent[w]:
+                    parent[w] = v
+                    tree.append(w)
+                    if not mate[w]:
+                        end = w
+                        break
+                    u = mate[w]
+                    even[u] = True
+                    tree.append(u)
+                    queue.append(u)
+        while end:  # flip the augmenting path that ends at end
+            v = parent[end]
+            nxt = mate[v]
+            mate[end], mate[v] = v, end
+            end = nxt
+        for x in tree:
+            base[x] = x
+            parent[x] = 0
+            even[x] = False
+    return Matching(frozenset((i, mate[i]) for i in range(1, n + 1) if i < mate[i]))
 
 
 def max_cardinality_size(instance: Instance) -> int:

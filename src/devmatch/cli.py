@@ -33,6 +33,18 @@ _MODELS = {
 }
 
 
+def _budget(text: str) -> int:
+    """argparse type for --k: a non-negative integer, anything else a usage error."""
+    message = f"expected a non-negative integer, got {text!r}"
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(message)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="devmatch")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -42,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--regime", choices=["any", "max", "perfect"], default="any")
         if with_budget:
             group = p.add_mutually_exclusive_group()
-            group.add_argument("--k", type=int, default=None)
+            group.add_argument("--k", type=_budget, default=None)
             group.add_argument("--optimize", action="store_true")
 
     p = sub.add_parser("validate", help="check an instance file")
@@ -93,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = kinds.add_parser("minba-complete")
     q.add_argument("instance")
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--k", type=_budget, required=True)
     q.add_argument("--out")
     return parser
 

@@ -124,14 +124,22 @@ def serialize_instance(instance: Instance, deviators: frozenset[int] = frozenset
 
 
 def parse_matching(text: str) -> Matching:
-    """Parse matching text (validation against an instance is the caller's)."""
+    """Parse matching text; an agent on a second line is a SyntaxError there.
+
+    Validation against an instance is the caller's.
+    """
     pairs = []
+    matched = set()
     for lineno, toks in _tokens(text):
         if len(toks) != 2:
             raise SyntaxError(lineno, "expected '<i> <j>'")
         i, j = _int(toks[0], lineno), _int(toks[1], lineno)
         if not i < j:
             raise SyntaxError(lineno, "pairs must satisfy i < j")
+        for a in (i, j):
+            if a in matched:
+                raise SyntaxError(lineno, f"agent {a} appears in two pairs")
+            matched.add(a)
         pairs.append((i, j))
     return Matching(frozenset(pairs))
 

@@ -3,10 +3,12 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from devmatch import classic
 from devmatch.classic import (
     NotBipartite,
     Unsolvable,
@@ -41,6 +43,28 @@ def brute_force_best_weight(graph: WeightedGraph) -> int:
             if ok:
                 best = max(best, sum(w for _, _, w in combo))
     return best
+
+
+def assert_matching_of(inst: Instance, m) -> None:
+    """Every pair is mutually acceptable and no agent is in two pairs."""
+    ranks = inst.ranks
+    ends = [a for pair in m.pairs for a in pair]
+    assert len(ends) == len(set(ends))
+    for i, j in m.pairs:
+        assert j in ranks[i] and i in ranks[j]
+
+
+def random_graph_instance(n: int, p: float, rng: random.Random) -> Instance:
+    """G(n, p) with every neighbour list in random order."""
+    nbrs = [[] for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if rng.random() < p:
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+    for lst in nbrs:
+        rng.shuffle(lst)
+    return Instance(n, tuple(tuple(lst) for lst in nbrs), None)
 
 
 class TestWeightedGraph:
@@ -156,6 +180,79 @@ class TestMaxCardinality:
         random.Random(pseed).shuffle(shuffled)
         inst2 = relabel_instance(inst, dict(zip(ids, shuffled)))
         assert max_cardinality_size(inst) == max_cardinality_size(inst2)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        model=st.sampled_from(list(GenModel)),
+    )
+    def test_size_matches_the_oracle(self, seed, n, model):
+        cap = 2 if model is GenModel.PATH_CYCLE_ONLY else 4
+        inst = generate(GenSpec(n=n, model=model, list_cap=cap, seed=seed)).instance
+        m = max_cardinality_matching(inst)
+        assert_matching_of(inst, m)
+        report = oracle_solve(problem(inst, ()), cap=12)
+        assert len(m.pairs) == report.regime_sizes[0]
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_size_matches_networkx(self, seed):
+        # average degree 2-8 on up to 300 vertices: half of these graphs make
+        # the search contract a blossom that already holds another
+        rng = random.Random(seed)
+        n = rng.choice([12, 30, 80, 150, 300])
+        inst = random_graph_instance(n, rng.uniform(2, 8) / (n - 1), rng)
+        m = max_cardinality_matching(inst)
+        assert_matching_of(inst, m)
+        g = nx.Graph()
+        g.add_nodes_from(inst.agents())
+        g.add_edges_from((i, j) for i in inst.agents() for j in inst.prefs[i])
+        assert len(m.pairs) == len(nx.max_weight_matching(g, maxcardinality=True))
+
+    def test_one_sided_entries_are_ignored(self):
+        # 1 lists 2 and 3, but only 3 lists 1 back; 2 and 4 list each other
+        inst = Instance(4, ((), (2, 3), (4,), (1,), (2, 1)), None)
+        m = max_cardinality_matching(inst)
+        assert m.pairs == frozenset({(1, 3), (2, 4)})
+        assert max_cardinality_size(Instance(2, ((), (2,), ()), None)) == 0
+
+    def test_long_odd_cycle(self):
+        n = 20_001
+        prefs = [()] + [(i % n + 1, (i - 2) % n + 1) for i in range(1, n + 1)]
+        inst = Instance(n, tuple(prefs), None)
+        m = max_cardinality_matching(inst)
+        assert_matching_of(inst, m)
+        assert len(m.pairs) == n // 2
+
+    def test_chain_of_triangles(self):
+        # triangle t is a, b, c = 3t+1, 3t+2, 3t+3, and c links to the next
+        # triangle's a.  Each a takes its c first, so the greedy start leaves
+        # every b exposed: 5,000 pairs, against 7,500 along the Hamiltonian path.
+        count = 5_000
+        prefs = [()]
+        for t in range(count):
+            a, b, c = 3 * t + 1, 3 * t + 2, 3 * t + 3
+            prefs.append((c, b) + ((a - 1,) if t else ()))
+            prefs.append((a, c))
+            prefs.append((a, b) + ((c + 1,) if t < count - 1 else ()))
+        inst = Instance(3 * count, tuple(prefs), None)
+        m = max_cardinality_matching(inst)
+        assert_matching_of(inst, m)
+        assert len(m.pairs) == 3 * count // 2
+
+    def test_reaches_no_networkx_code(self, monkeypatch):
+        class Unreachable:
+            def __getattr__(self, name):
+                raise AssertionError(f"networkx.{name} reached")
+
+        monkeypatch.setattr(classic, "nx", Unreachable())
+        assert max_cardinality_size(variable_gadget()) == 4
+
+    def test_deterministic(self):
+        inst = generate(GenSpec(n=300, list_cap=5, seed=3)).instance
+        first = max_cardinality_matching(inst)
+        again = max_cardinality_matching(Instance(inst.num_agents, inst.prefs, inst.sides))
+        assert first.pairs == again.pairs == max_cardinality_matching(inst).pairs
 
 
 def graph_strategy(max_vertices=8, max_weight=10):

@@ -125,6 +125,15 @@ class TestMatchingFormat:
         with pytest.raises(fileio.SyntaxError):
             fileio.parse_matching("1 2 3\n")
 
+    def test_agent_in_two_pairs_is_a_syntax_error(self):
+        with pytest.raises(fileio.SyntaxError) as exc:
+            fileio.parse_matching("1 2\n1 3\n")
+        assert exc.value.line == 2
+        assert "agent 1 appears in two pairs" in str(exc.value)
+        with pytest.raises(fileio.SyntaxError) as exc:
+            fileio.parse_matching("# header\n1 2\n4 5\n3 5\n")
+        assert exc.value.line == 4
+
 
 @pytest.fixture
 def cycle_file(tmp_path):
@@ -286,6 +295,31 @@ class TestCli:
         inst2, devs2 = fileio.parse_instance(full_path.read_text())
         assert devs2 == devs
         assert all(len(inst2.prefs[a]) == 599 for a in inst2.agents())
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "{inst}"],
+        ["verify", "{inst}", "--matching", "{matching}"],
+        ["reduce", "minba-complete", "{inst}"],
+    ])
+    @pytest.mark.parametrize("k", ["-1", "x"])
+    def test_bad_budget_is_a_usage_error(self, cycle_file, tmp_path, capsys, command, k):
+        matching = tmp_path / "m.txt"
+        matching.write_text("1 2\n")
+        argv = [a.format(inst=cycle_file, matching=matching) for a in command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--k", k])
+        assert exc.value.code == 2
+        assert f"argument --k: expected a non-negative integer, got '{k}'" in (
+            capsys.readouterr().err
+        )
+
+    def test_verify_reports_an_agent_in_two_pairs(self, cycle_file, tmp_path, capsys):
+        matching = tmp_path / "m.txt"
+        matching.write_text("1 2\n1 3\n")
+        assert main(["verify", cycle_file, "--matching", str(matching)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: agent 1 appears in two pairs\n"
 
     def test_reduce_minba(self, tmp_path, capsys):
         src = tmp_path / "inst.dsm"
