@@ -1,12 +1,13 @@
 """Classic stable-matching algorithms and matching building blocks.
 
 Two exact solvers for full stability (Gale-Shapley on sided instances,
-Irving's proposal/rotation algorithm on unsided ones); a maximum-cardinality
-matching of an instance's acceptability graph by Edmonds' blossom search,
-implemented here in O(V^3) time; and a small weighted graph type whose
-maximum-weight matching is delegated to networkx's weighted blossom
-implementation.  The graph type is what the configuration-search solver
-feeds its extension subproblems into.
+Irving's proposal/rotation algorithm on unsided ones); one Edmonds blossom
+search, implemented here in O(V^3) time, behind both a maximum-cardinality
+matching of an instance's acceptability graph and the must-cover matching
+that completes each configuration of the configuration search; and a small
+weighted graph type whose maximum-weight matching is delegated to
+networkx's weighted blossom implementation.  No solver uses the weighted
+matching; it stays as a public building block.
 """
 
 from __future__ import annotations
@@ -35,9 +36,7 @@ class WeightedGraph:
     vertices carry agent ids; edges are (i, j, weight) triples normalised to
     i < j.  The constructor rejects self-loops, parallel edges, endpoints
     outside the vertex set, and weights that are negative, non-integral, or
-    too large for 64-bit arithmetic.  Inputs built by the solvers keep every
-    single weight at most n + 2 and every matching's total weight at most
-    n * (n + 2), so sums stay well inside the 64-bit range.
+    too large for 64-bit arithmetic.
     """
 
     vertices: frozenset[int]
@@ -84,39 +83,31 @@ def matching_weight(graph: WeightedGraph, matching: Matching) -> int:
     return sum(weights[p] for p in matching.pairs)
 
 
-def max_cardinality_matching(instance: Instance) -> Matching:
-    """A maximum matching of the instance's mutual-acceptability graph.
+def _blossom_search(adj, mate, roots, spare=None):
+    """Grow one alternating tree from each exposed root; yield the roots left exposed.
 
-    Edmonds' cardinality blossom search (Edmonds 1965; Gabow 1976), in
-    O(V^3) time and O(V + E) space.  The adjacency lists keep each agent's
-    preference order and ignore one-sided entries.  A greedy pass in
-    ascending agent order matches each agent to its first free neighbour;
-    then each still exposed agent, in ascending order, grows one
-    alternating tree from itself breadth first, contracts each odd cycle it
-    closes into the cycle's base, and augments along the first path it
-    finds to another exposed agent.  An agent with no augmenting path never
-    gains one later, so one pass suffices.  Each search resets only the
-    agents it labelled.  The result depends only on the instance.
+    Edmonds' cardinality blossom search (Edmonds 1965; Gabow 1976) on a
+    local graph: vertices 1..V, adj[v] the neighbours of v (adj[0] unused),
+    mate[v] the partner of v or 0 when v is exposed.  Each root still
+    exposed when its turn comes grows one tree breadth first, contracts
+    each odd cycle it closes into the cycle's base, and augments along the
+    first path it finds to an exposed vertex.  With spare (a truth value
+    per vertex) an even vertex v with spare[v] also ends the search: the
+    even path from the root to v is flipped, so v loses its partner and the
+    root gains one.  Either way no vertex but v is uncovered.  mate is
+    updated in place, each search resets only the vertices it labelled,
+    and the next root is searched only when the caller asks for more.
     """
-    n = instance.num_agents
-    ranks = instance.ranks
-    adj = [()] + [
-        tuple(j for j in instance.prefs[i] if i in ranks[j]) for i in range(1, n + 1)
-    ]
-    mate = [0] * (n + 1)  # 0: exposed
-    for i in range(1, n + 1):
-        if not mate[i]:
-            for j in adj[i]:
-                if not mate[j]:
-                    mate[i], mate[j] = j, i
-                    break
-    base = list(range(n + 1))
+    size = len(adj)
+    if spare is None:
+        spare = [False] * size
+    base = list(range(size))
     # the way back to the root is x, parent[x], mate[parent[x]], parent[...], ...
-    parent = [0] * (n + 1)
-    even = [False] * (n + 1)  # the root, the mates of reached agents, blossoms
-    seen = [0] * (n + 1)  # stamps for the base-path walks of one contraction
+    parent = [0] * size
+    even = [False] * size  # the root, the mates of reached vertices, blossoms
+    seen = [0] * size  # stamps for the base-path walks of one contraction
     stamp = 0
-    for root in range(1, n + 1):
+    for root in roots:
         if mate[root]:
             continue
         even[root] = True
@@ -128,6 +119,10 @@ def max_cardinality_matching(instance: Instance) -> Matching:
         while head < len(queue) and not end:
             v = queue[head]
             head += 1
+            if spare[v]:  # flip the even path: v's old mate takes the path's last edge
+                end = mate[v]
+                mate[v] = 0
+                break
             for w in adj[v]:
                 if base[v] == base[w] or mate[v] == w:
                     continue
@@ -173,7 +168,7 @@ def max_cardinality_matching(instance: Instance) -> Matching:
                     even[u] = True
                     tree.append(u)
                     queue.append(u)
-        while end:  # flip the augmenting path that ends at end
+        while end:  # flip the path that ends at end
             v = parent[end]
             nxt = mate[v]
             mate[end], mate[v] = v, end
@@ -182,7 +177,60 @@ def max_cardinality_matching(instance: Instance) -> Matching:
             base[x] = x
             parent[x] = 0
             even[x] = False
+        if not mate[root]:
+            yield root
+
+
+def max_cardinality_matching(instance: Instance) -> Matching:
+    """A maximum matching of the instance's mutual-acceptability graph.
+
+    O(V^3) time and O(V + E) space.  The adjacency lists keep each agent's
+    preference order and ignore one-sided entries.  A greedy pass in
+    ascending agent order matches each agent to its first free neighbour;
+    then _blossom_search grows a tree from each still exposed agent, in
+    ascending order.  An agent with no augmenting path never gains one
+    later, so one pass suffices.  The result depends only on the instance.
+    """
+    n = instance.num_agents
+    ranks = instance.ranks
+    adj = [()] + [
+        tuple(j for j in instance.prefs[i] if i in ranks[j]) for i in range(1, n + 1)
+    ]
+    mate = [0] * (n + 1)  # 0: exposed
+    for i in range(1, n + 1):
+        if not mate[i]:
+            for j in adj[i]:
+                if not mate[j]:
+                    mate[i], mate[j] = j, i
+                    break
+    for _ in _blossom_search(adj, mate, range(1, n + 1)):
+        pass
     return Matching(frozenset((i, mate[i]) for i in range(1, n + 1) if i < mate[i]))
+
+
+def covering_matching(adj, must, maximum: bool) -> list[int] | None:
+    """A matching of a local graph that covers every vertex in must, or None.
+
+    adj is a graph as _blossom_search takes it.  Vertices coverable by one
+    matching form a matroid (Edmonds & Fulkerson 1965), so growing a tree
+    from each vertex of must in turn decides it: the tree reaches either an
+    exposed vertex (augment) or an even vertex outside must (flip the even
+    path, uncovering that vertex); a vertex of must that reaches neither
+    is left exposed by every matching that covers the ones before it.
+    With maximum set, every other exposed vertex then augments once, which
+    never uncovers anyone, so the result is a maximum matching covering
+    must.  Returns the mate array (0: exposed).
+    """
+    mate = [0] * len(adj)
+    spare = [True] * len(adj)
+    for v in must:
+        spare[v] = False
+    if next(_blossom_search(adj, mate, must, spare), None) is not None:
+        return None
+    if maximum:
+        for _ in _blossom_search(adj, mate, range(1, len(adj))):
+            pass
+    return mate
 
 
 def max_cardinality_size(instance: Instance) -> int:

@@ -179,11 +179,7 @@ def _run_oracle(args) -> int:
 
 def _run_verify(args) -> int:
     problem = _problem(args)
-    matching = fileio.parse_matching(_read(args.matching))
-    n = problem.instance.num_agents
-    for i, j in matching.pairs:
-        if not 1 <= i <= n or not 1 <= j <= n:
-            raise fileio.SyntaxError(0, f"pair ({i}, {j}) out of range 1..{n}")
+    matching = fileio.parse_matching(_read(args.matching), problem.instance.num_agents)
     try:
         if args.value is None:
             claimed = checked_value(problem, matching)

@@ -123,10 +123,11 @@ def serialize_instance(instance: Instance, deviators: frozenset[int] = frozenset
     return "\n".join(out) + "\n"
 
 
-def parse_matching(text: str) -> Matching:
+def parse_matching(text: str, n: int | None = None) -> Matching:
     """Parse matching text; an agent on a second line is a SyntaxError there.
 
-    Validation against an instance is the caller's.
+    With n given, so is a pair outside 1..n.  Any other validation against
+    an instance is the caller's.
     """
     pairs = []
     matched = set()
@@ -136,6 +137,8 @@ def parse_matching(text: str) -> Matching:
         i, j = _int(toks[0], lineno), _int(toks[1], lineno)
         if not i < j:
             raise SyntaxError(lineno, "pairs must satisfy i < j")
+        if n is not None and not (1 <= i and j <= n):
+            raise SyntaxError(lineno, f"pair ({i}, {j}) out of range 1..{n}")
         for a in (i, j):
             if a in matched:
                 raise SyntaxError(lineno, f"agent {a} appears in two pairs")

@@ -6,8 +6,10 @@ pairs / blocking agents (|B| <= k).  Agents that some deviator prefers to
 its assigned partner — and whose pair/agent is not tolerated — must end up
 matched strictly better than every such deviator.  The truncation records
 this as a sparse cut, {agent: rank at which its list is cut}, laid over the
-unchanged instance; a weighted matching over the remaining agents then reads
-every list through that cut.  The first configuration whose extension exists
+unchanged instance; one matching over the remaining agents then reads every
+list through that cut, found by classic.covering_matching: a blossom search
+that covers the must-match agents first and, outside the any-size regime,
+then grows to maximum size.  The first configuration whose extension exists
 and verifies decides the outcome.
 
 Running time is exponential only in the number of deviators and the budget;
@@ -38,8 +40,7 @@ import itertools
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
-from .classic import WeightedGraph, gale_shapley, max_cardinality_matching
-from .classic import max_cardinality_size, max_weight_matching
+from .classic import covering_matching, gale_shapley, max_cardinality_matching, max_cardinality_size
 from .core import (
     DeviatorProblem,
     Instance,
@@ -275,21 +276,24 @@ def _ball_around_deviators(p: DeviatorProblem) -> dict[int, int]:
 def extend_via_weighted_matching(
     p: DeviatorProblem, trunc: TruncationResult, target_size: int | None
 ) -> Matching | None:
-    """Complete a truncated configuration by one weighted matching, or reject.
+    """Complete a truncated configuration by one Q-first matching, or reject.
 
     Lists are read through trunc.cut: agent i keeps prefs[i][:cut[i] - 1],
     and j still accepts i when i ranks above cut.get(j, infinity) on j's
-    list.  With a target size (maximum-cardinality and perfect regimes) the
-    graph spans every agent the candidate matching left unmatched, edge
-    weights n + |e ∩ Q| make the matching maximum-cardinality first and
-    Q-covering second, and the result is rejected unless all of Q is matched
-    and the combined size reaches the target.  Without one (any-size regime)
-    the graph only spans such agents within distance two of a deviator,
-    weights are |e ∩ Q|, and only Q coverage is required.  Returns the
-    extension matching alone; None means reject.
+    list.  The graph spans the agents the candidate matching left
+    unmatched: all of them with a target size (maximum-cardinality and
+    perfect regimes), else only those within distance two of a deviator,
+    relabelled 1..V in ascending id.  classic.covering_matching grows a
+    tree from each exposed must-match agent of Q first, and with a target
+    then augments from every other exposed agent, so the augmenting order
+    does what the weights n + |e ∩ Q| (|e ∩ Q| without a target) of a
+    weighted matching used to: maximum cardinality first, Q covered
+    second.  The result is rejected unless all of Q is matched and the
+    combined size reaches the target.  Returns the extension matching
+    alone; None means reject.  The function keeps the name of the weighted
+    version it replaced, under which perfbench's tracer probes it.
     """
     inst = p.instance
-    n = inst.num_agents
     cut = trunc.cut
     m_c = trunc.configuration.candidate_matching
     matched = m_c.matched_agents()
@@ -300,32 +304,29 @@ def extend_via_weighted_matching(
             return None
 
     if target_size is None:
-        base = 0
         vertices = sorted(v for v in _ball_around_deviators(p) if v not in matched)
     else:
-        base = n
         vertices = [v for v in inst.agents() if v not in matched]
 
-    vset = set(vertices)
-    edges = []
+    local = {v: i for i, v in enumerate(vertices, start=1)}
+    adj = [()]
     for i in vertices:
         stop = cut.get(i)
         own = inst.prefs[i]
-        for j in own if stop is None else own[: stop - 1]:
-            if i < j and j in vset:
-                back = inst.ranks[j].get(i)
-                if back is not None and back < cut.get(j, _UNRANKED):
-                    w = base + (i in q) + (j in q)
-                    assert w <= n + 2
-                    edges.append((i, j, w))
-    m_mw = max_weight_matching(WeightedGraph(frozenset(vertices), tuple(edges)))
-
-    for r in q:
-        if r not in matched and not m_mw.is_matched(r):
-            return None
-    if target_size is not None and len(m_c.pairs) + len(m_mw.pairs) < target_size:
+        adj.append([
+            local[j] for j in (own if stop is None else own[: stop - 1])
+            if j in local and inst.ranks[j].get(i, _UNRANKED) < cut.get(j, _UNRANKED)
+        ])
+    must = [local[r] for r in sorted(q) if r not in matched]
+    mate = covering_matching(adj, must, target_size is not None)
+    if mate is None:
         return None
-    return m_mw
+    m_ext = Matching(frozenset(
+        (v, vertices[mate[i] - 1]) for i, v in enumerate(vertices, start=1) if i < mate[i]
+    ))
+    if target_size is not None and len(m_c.pairs) + len(m_ext.pairs) < target_size:
+        return None
+    return m_ext
 
 
 @dataclass
@@ -399,7 +400,7 @@ def solve_fpt(p: DeviatorProblem) -> SolveOutcome:
     """Decide whether the budget is attainable, returning a witness matching.
 
     Walks the configuration stream in order and returns on the first
-    configuration whose truncation survives, whose weighted extension is
+    configuration whose truncation survives, whose extension is
     accepted, and whose combined matching verifies at value <= budget.
     Exhausting the stream means infeasible.  The perfect regime runs as
     maximum-cardinality after checking a perfect matching exists at all.
@@ -433,11 +434,11 @@ def solve_fpt(p: DeviatorProblem) -> SolveOutcome:
             known = sweep.values[key]
             if known is None or known > k:
                 continue
-        m_mw = extend_via_weighted_matching(p, trunc, sweep.target)
-        if m_mw is None:
+        m_ext = extend_via_weighted_matching(p, trunc, sweep.target)
+        if m_ext is None:
             sweep.values[key] = None
             continue
-        combined = Matching(m_c.pairs | m_mw.pairs)
+        combined = Matching(m_c.pairs | m_ext.pairs)
         value = objective_value(blocking_report(p.instance, combined, p.deviators), p.objective)
         sweep.values[key] = value
         if value <= k and (

@@ -5,6 +5,13 @@ import random
 from devmatch.core import DeviatorProblem, Instance, Matching, Objective, SizeRegime
 
 
+class Unreachable:
+    """Stands in for networkx where no code may reach it: any attribute fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"networkx.{name} reached")
+
+
 def ordered_cycle(k: int) -> Instance:
     """k agents in a cycle, each preferring its successor to its predecessor."""
     prefs = [()]

@@ -13,6 +13,7 @@ from devmatch.classic import (
     NotBipartite,
     Unsolvable,
     WeightedGraph,
+    covering_matching,
     gale_shapley,
     irving_sr,
     matching_weight,
@@ -20,11 +21,11 @@ from devmatch.classic import (
     max_cardinality_size,
     max_weight_matching,
 )
-from devmatch.core import Instance, blocking_report
+from devmatch.core import Instance, Matching, blocking_report
 from devmatch.generators import GenModel, GenSpec, generate
 from devmatch.oracle import oracle_solve
 
-from conftest import ordered_cycle, problem, relabel_instance, variable_gadget
+from conftest import Unreachable, ordered_cycle, problem, relabel_instance, variable_gadget
 
 
 def brute_force_best_weight(graph: WeightedGraph) -> int:
@@ -241,10 +242,6 @@ class TestMaxCardinality:
         assert len(m.pairs) == 3 * count // 2
 
     def test_reaches_no_networkx_code(self, monkeypatch):
-        class Unreachable:
-            def __getattr__(self, name):
-                raise AssertionError(f"networkx.{name} reached")
-
         monkeypatch.setattr(classic, "nx", Unreachable())
         assert max_cardinality_size(variable_gadget()) == 4
 
@@ -297,7 +294,11 @@ class TestMaxWeight:
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), qseed=st.integers(0, 2**32 - 1))
 def test_cardinality_first_coverage_second_weighting(seed, qseed):
-    """w(e) = n + |e ∩ Q| yields a maximum matching covering the most of Q."""
+    """w(e) = n + |e ∩ Q| yields a maximum matching covering the most of Q.
+
+    covering_matching agrees: it covers Q exactly when some maximum matching
+    does, and with maximum set its matching is maximum too.
+    """
     prob = generate(GenSpec(n=8, list_cap=4, seed=seed))
     inst = prob.instance
     n = inst.num_agents
@@ -335,3 +336,15 @@ def test_cardinality_first_coverage_second_weighting(seed, qseed):
     got_cover = sum(1 for i, j in m.pairs for a in (i, j) if a in q)
     assert len(m.pairs) == best_size
     assert got_cover == best_cover
+
+    adj = [()] + [[j for j in inst.prefs[i] if i in ranks[j]] for i in inst.agents()]
+    for maximum in (False, True):
+        mate = covering_matching(adj, sorted(q), maximum)
+        if best_cover < len(q):
+            assert mate is None
+            continue
+        found = Matching(frozenset((i, mate[i]) for i in inst.agents() if i < mate[i]))
+        assert_matching_of(inst, found)
+        assert q <= found.matched_agents()
+        if maximum:
+            assert len(found.pairs) == best_size

@@ -30,7 +30,7 @@ from devmatch.fpt import (
 from devmatch.generators import GenModel, GenSpec, generate
 from devmatch.oracle import oracle_solve
 
-from conftest import ordered_cycle, problem, variable_gadget
+from conftest import Unreachable, ordered_cycle, problem, variable_gadget
 
 ODD_PATH = Instance(3, ((), (2,), (1, 3), (2,)), None)
 
@@ -345,12 +345,13 @@ def test_connected_triangles_optimum(c, m):
         assert (report.optimum_bp, report.optimum_ba) == (c, 2 * c)
 
 
-# Outcomes of the search before it split problems into parts; a problem with
-# one part must still give exactly these.
-CONNECTED_2_6 = {
-    "bp": (2, "#25", ((1, 2), (3, 9), (4, 5), (6, 12), (7, 8), (10, 11))),
-    "ba": (4, "#54", ((1, 2), (3, 9), (4, 5), (6, 12), (7, 8), (10, 11))),
-}
+# Values and notes of the search before it split problems into parts; a
+# problem with one part must still give exactly these.  In the any-size
+# regime the extension matches only what covering the must-match agents
+# needs, so the path pairs are left out there.
+CONNECTED_2_6 = {"bp": (2, "#25"), "ba": (4, "#54")}
+CONNECTED_2_6_PAIRS = ((1, 2), (3, 9), (4, 5), (6, 12))
+CONNECTED_2_6_PATH = ((7, 8), (10, 11))
 
 
 @pytest.mark.parametrize("regime", list(SizeRegime))
@@ -358,10 +359,41 @@ CONNECTED_2_6 = {
 def test_one_part_outcome_is_unchanged(regime, objective):
     p = replace(connected_triangles(2, 6), objective=objective, size_regime=regime)
     out = optimize_fpt(p)
-    value, index, pairs = CONNECTED_2_6[objective.value]
+    value, index = CONNECTED_2_6[objective.value]
     assert out.value == value
     assert out.certificate_note == f"fpt-{objective.value}-{regime.value}{index}"
+    pairs = CONNECTED_2_6_PAIRS + (() if regime is SizeRegime.ANY else CONNECTED_2_6_PATH)
     assert tuple(sorted(out.matching.pairs)) == pairs
+    assert verify_solution(p, out.matching, value, strict=True)
+
+
+def triangles_2_6():
+    return connected_triangles(2, 6)
+
+
+def sri_60():
+    """A generated SRI with 6 deviators and a perfect matching."""
+    return generate(GenSpec(n=60, list_cap=4, deviator_fraction=0.1, seed=0))
+
+
+@pytest.mark.parametrize("build", [triangles_2_6, sri_60])
+@pytest.mark.parametrize("regime", list(SizeRegime))
+def test_configuration_search_reaches_no_networkx(monkeypatch, build, regime):
+    """optimize_fpt and solve_fpt at k = 0, 1 extend configurations without networkx."""
+    extend = fpt.extend_via_weighted_matching
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return extend(*args)
+
+    monkeypatch.setattr(classic, "nx", Unreachable())
+    monkeypatch.setattr(fpt, "extend_via_weighted_matching", counted)
+    p = replace(build(), size_regime=regime)
+    optimize_fpt(p)
+    for k in (0, 1):
+        solve_fpt(replace(p, budget=k))
+    assert calls
 
 
 def test_budgets_of_one_optimize_share_their_work(monkeypatch):

@@ -227,6 +227,12 @@ class TestCli:
                      "--value", "0"]) == 1
         assert "verification failed" in capsys.readouterr().out
 
+    def test_verify_names_the_line_of_an_out_of_range_pair(self, cycle_file, tmp_path, capsys):
+        match_path = tmp_path / "m.txt"
+        match_path.write_text("# a comment line\n1 9\n")
+        assert main(["verify", cycle_file, "--matching", str(match_path)]) == 3
+        assert capsys.readouterr().err == "error: line 2: pair (1, 9) out of range 1..3\n"
+
     def test_gen_is_deterministic(self, tmp_path, capsys):
         args = ["gen", "--n", "8", "--seed", "5", "--deviator-fraction", "0.5"]
         assert main(args) == 0
