@@ -7,14 +7,13 @@ matching of an instance's acceptability graph and the must-cover matching
 that completes each configuration of the configuration search; and a small
 weighted graph type whose maximum-weight matching is delegated to
 networkx's weighted blossom implementation.  No solver uses the weighted
-matching; it stays as a public building block.
+matching; it stays as a public building block, and networkx is imported
+only when it is called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
 
 from .core import Instance, Matching
 
@@ -64,17 +63,14 @@ class WeightedGraph:
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
 
-def _to_nx(graph: WeightedGraph) -> nx.Graph:
-    g = nx.Graph()
-    g.add_nodes_from(sorted(graph.vertices))
-    for i, j, w in graph.edges:
-        g.add_edge(i, j, weight=w)
-    return g
-
-
 def max_weight_matching(graph: WeightedGraph) -> Matching:
     """A maximum-weight matching of the graph (any cardinality)."""
-    pairs = nx.max_weight_matching(_to_nx(graph), maxcardinality=False)
+    import networkx as nx  # deferred: importing it costs more than all of devmatch
+
+    g = nx.Graph()
+    g.add_nodes_from(sorted(graph.vertices))
+    g.add_weighted_edges_from(graph.edges)
+    pairs = nx.max_weight_matching(g, maxcardinality=False)
     return Matching(frozenset(tuple(sorted(p)) for p in pairs))
 
 

@@ -29,9 +29,10 @@ once and shared by all of them.
 
 Both entry points search independent parts one by one and add up their
 optima, exactly: a blocking pair is an edge, so both objectives add up over
-parts no edge joins.  The parts are deviator groups with disjoint
-distance-two balls in the any-size regime, where blocking pairs depend only
-on partners that close, and else components, as matching sizes add up.
+parts no edge joins.  A part is a sub-instance relabelled in ascending id:
+a deviator group's distance-two ball in the any-size regime, where blocking
+pairs depend only on partners that close, and else a component, as
+matching sizes add up.  Under a budget the last part is only decided.
 """
 
 from __future__ import annotations
@@ -280,18 +281,17 @@ def extend_via_weighted_matching(
 
     Lists are read through trunc.cut: agent i keeps prefs[i][:cut[i] - 1],
     and j still accepts i when i ranks above cut.get(j, infinity) on j's
-    list.  The graph spans the agents the candidate matching left
-    unmatched: all of them with a target size (maximum-cardinality and
-    perfect regimes), else only those within distance two of a deviator,
-    relabelled 1..V in ascending id.  classic.covering_matching grows a
-    tree from each exposed must-match agent of Q first, and with a target
-    then augments from every other exposed agent, so the augmenting order
-    does what the weights n + |e ∩ Q| (|e ∩ Q| without a target) of a
-    weighted matching used to: maximum cardinality first, Q covered
-    second.  The result is rejected unless all of Q is matched and the
-    combined size reaches the target.  Returns the extension matching
-    alone; None means reject.  The function keeps the name of the weighted
-    version it replaced, under which perfbench's tracer probes it.
+    list.  The graph spans every agent of p's part the candidate matching
+    left unmatched, relabelled 1..V in ascending id.  classic.covering_matching
+    grows a tree from each exposed must-match agent of Q first, and with a
+    target size (maximum-cardinality and perfect regimes) then augments
+    from every other exposed agent, so the augmenting order does what the
+    weights n + |e ∩ Q| (|e ∩ Q| without a target) of a weighted matching
+    used to: maximum cardinality first, Q covered second.  The result is
+    rejected unless all of Q is matched and the combined size reaches the
+    target.  Returns the extension matching alone; None means reject.  The
+    function keeps the name of the weighted version it replaced, under
+    which perfbench's tracer probes it.
     """
     inst = p.instance
     cut = trunc.cut
@@ -303,11 +303,7 @@ def extend_via_weighted_matching(
         if r not in matched and cut[r] == 1:
             return None
 
-    if target_size is None:
-        vertices = sorted(v for v in _ball_around_deviators(p) if v not in matched)
-    else:
-        vertices = [v for v in inst.agents() if v not in matched]
-
+    vertices = [v for v in inst.agents() if v not in matched]
     local = {v: i for i, v in enumerate(vertices, start=1)}
     adj = [()]
     for i in vertices:
@@ -340,7 +336,7 @@ class _Sweep:
     None when the extension is rejected.  Both depend on the configuration
     alone, so every budget reuses them.  Only values are kept, not
     matchings, which in the maximum-cardinality regime span the whole
-    instance: an extension is redone only when its value fits the budget,
+    part: an extension is redone only when its value fits the budget,
     which ends the search.
     """
 
@@ -373,11 +369,10 @@ class _Sweep:
             locked = {a for pair in locked for a in pair} & devs
         return len(locked)
 
-    def search(self, limit: int) -> SolveOutcome | None:
-        """The outcome at the first budget 0, 1, ..., limit that works, or None."""
+    def search(self, budgets) -> SolveOutcome | None:
+        """The outcome at the first of budgets that works, or None."""
         token = _active_sweep.set(self)
         try:
-            budgets = range(min(limit, len(_tolerable(self.problem))) + 1)
             outs = (solve_fpt(replace(self.problem, budget=k)) for k in budgets)
             return next((out for out in outs if out.feasible), None)
         finally:
@@ -399,23 +394,17 @@ def _note(p: DeviatorProblem, index: int | str | None = None) -> str:
 def solve_fpt(p: DeviatorProblem) -> SolveOutcome:
     """Decide whether the budget is attainable, returning a witness matching.
 
-    Walks the configuration stream in order and returns on the first
-    configuration whose truncation survives, whose extension is
-    accepted, and whose combined matching verifies at value <= budget.
-    Exhausting the stream means infeasible.  The perfect regime runs as
-    maximum-cardinality after checking a perfect matching exists at all.
+    Splits p into parts (_solve_in_parts).  Called back by a part's sweep,
+    walks the stream and returns on the first configuration whose
+    truncation survives, whose extension is accepted, and whose combined
+    matching verifies at value <= budget; exhausting it means infeasible.
     """
     if p.budget is None:
         raise ValueError("solve_fpt needs an explicit budget")
-    k = p.budget
     sweep = _active_sweep.get()
     if sweep is None or sweep.problem != replace(p, budget=None):
-        joined = _solve_in_parts(p)
-        if joined is not None:
-            return joined
-        sweep = _Sweep.of(p)
-    if p.size_regime is SizeRegime.PERFECT and 2 * sweep.target != p.instance.num_agents:
-        return SolveOutcome.infeasible(_note(p))
+        return _solve_in_parts(p)
+    k = p.budget
 
     for cfg in enumerate_configurations(p, k):
         m_c = cfg.candidate_matching
@@ -464,70 +453,80 @@ def optimize_fpt(p: DeviatorProblem) -> SolveOutcome:
 
 
 def _restrict(inst: Instance, agents: list[int]) -> Instance:
-    """The sub-instance on a union of components; agents[i - 1] becomes agent i."""
+    """The sub-instance on ascending agents; agents[i - 1] becomes agent i.
+
+    Entries outside agents are dropped, as a ball's outer lists reach
+    distance three.  Every agent gives inst itself.
+    """
+    if len(agents) == inst.num_agents:
+        return inst
     new = {a: i for i, a in enumerate(agents, start=1)}
-    prefs = ((),) + tuple(tuple(new[j] for j in inst.prefs[a]) for a in agents)
+    prefs = ((),) + tuple(tuple(new[j] for j in inst.prefs[a] if j in new) for a in agents)
     return Instance(len(agents), prefs, inst.sides and tuple(inst.sides[a] for a in agents))
 
 
-def _solve_in_parts(p: DeviatorProblem) -> SolveOutcome | None:
-    """Optimise p's independent parts one by one and join them; see the module docstring.
+def _parts(p: DeviatorProblem) -> tuple[list[tuple[_Sweep, list[int]]], list[int]]:
+    """The sweeps of p's parts with their agents, and the idle agents, all ascending.
 
-    Groups are searched on p's instance, components on sub-instances; the
-    search stops once the part optima pass the budget.  With a budget, one
-    part is left to solve_fpt's walk (None).
+    A part's agents are a deviator group's ball in the any-size regime, else
+    a component with deviators; the idle agents are in the other components.
     """
-    devs, idle = p.deviators, []
+    inst, devs, idle = p.instance, p.deviators, []
     if p.size_regime is SizeRegime.ANY:
-        groups: dict[int, set[int]] = {}
-        for a, g in _ball_around_deviators(p).items():
-            if a in devs:
-                groups.setdefault(g, set()).add(a)
-        units = [groups[g] for g in sorted(groups)]
+        balls: dict[int, list[int]] = {}
+        for a, g in sorted(_ball_around_deviators(p).items()):
+            balls.setdefault(g, []).append(a)
+        units = [balls[g] for g in sorted(balls)]
     else:
-        parent = list(range(p.instance.num_agents + 1))
-        for i in p.instance.agents():
-            for j in p.instance.prefs[i]:
+        parent = list(range(inst.num_agents + 1))
+        for i in inst.agents():
+            for j in inst.prefs[i]:
                 _union(parent, i, j)
         comps: dict[int, list[int]] = {}
-        for a in p.instance.agents():
+        for a in inst.agents():
             comps.setdefault(_find(parent, a), []).append(a)
         roots = dict.fromkeys(_find(parent, d) for d in sorted(devs))
         units = [comps[r] for r in roots]
-    if len(units) <= 1:
-        if p.budget is not None:
-            return None
-        parts = [(_Sweep.of(p), None)]
-    elif p.size_regime is SizeRegime.ANY:
-        parts = [(_Sweep.of(replace(p, deviators=g)), None) for g in units]
-    else:
-        idle = [a for r, c in comps.items() if r not in roots for a in c]
-        parts = [(_Sweep.of(replace(p, instance=_restrict(p.instance, c),
-                                    deviators={i for i, a in enumerate(c, 1) if a in devs})), c)
-                 for c in units]
+        idle = sorted(a for r, c in comps.items() if r not in roots for a in c)
+    return [(_Sweep.of(replace(p, instance=_restrict(inst, c),
+                               deviators={i for i, a in enumerate(c, 1) if a in devs})), c)
+            for c in units], idle
+
+
+def _solve_in_parts(p: DeviatorProblem) -> SolveOutcome:
+    """Search p's parts one by one and join them with a maximum matching of the idle agents.
+
+    Under a budget every part but the last is optimized within the budget
+    left and the last is only decided at it, so one part is one walk.
+    """
+    sweeps, idle = _parts(p)
     m = max_cardinality_matching(_restrict(p.instance, idle)) if idle else Matching(frozenset())
     pairs = {(idle[i - 1], idle[j - 1]) for i, j in m.pairs}
     if p.size_regime is SizeRegime.PERFECT and (2 * len(pairs) != len(idle) or any(
-        2 * s.target != s.problem.instance.num_agents for s, _ in parts
+        2 * s.target != s.problem.instance.num_agents for s, _ in sweeps
     )):
         if p.budget is None:
             raise PerfectInfeasible("no perfect matching exists")
         return SolveOutcome.infeasible(_note(p))
     total, indices = 0, []
-    for sweep, ids in parts:
-        out = sweep.search(_UNRANKED if p.budget is None else p.budget - total)
+    for t, (sweep, ids) in enumerate(sweeps, start=1):
+        # no value exceeds the pool's size, so no larger budget is tried
+        limit = len(_tolerable(sweep.problem))
+        if p.budget is not None:
+            limit = min(limit, p.budget - total)
+        decide = p.budget is not None and t == len(sweeps)
+        out = sweep.search((limit,) if decide else range(limit + 1))
         if out is None:
             assert p.budget is not None, "the largest budget tolerates every candidate pair"
             return SolveOutcome.infeasible(_note(p))
         total += out.value
         indices.append(out.certificate_note.rpartition("#")[2])
-        found = out.matching.pairs
-        pairs.update(found if ids is None else ((ids[i - 1], ids[j - 1]) for i, j in found))
+        pairs.update((ids[i - 1], ids[j - 1]) for i, j in out.matching.pairs)
     matching = Matching(frozenset(pairs))
     value = objective_value(blocking_report(p.instance, matching, p.deviators), p.objective)
     assert value == total, f"joined value {value}, part optima add up to {total}"
-    # Parts all accepted at their configuration #0 make up the whole's #0.
-    index = "0" if set(indices) == {"0"} else "+".join(indices)
+    # Parts all accepted at their configuration #0, or no parts, make up the whole's #0.
+    index = "0" if set(indices) <= {"0"} else "+".join(indices)
     return SolveOutcome.solution(matching, value, _note(p, index))
 
 

@@ -308,14 +308,9 @@ def solve_shortlist_max(p: DeviatorProblem) -> SolveOutcome:
         k = len(seq)
         m1 = [(seq[t], seq[t + 1]) for t in range(0, k - 1, 2)]
         m2 = [(seq[t], seq[(t + 1) % k]) for t in range(1, k, 2)]
-        v1 = _component_value(seq, True, m1, ranks, p.deviators, p.objective)
-        v2 = _component_value(seq, True, m2, ranks, p.deviators, p.objective)
-        if v2 < v1:
-            pairs.extend(m2)
-            total += v2
-        else:
-            pairs.extend(m1)
-            total += v1
+        chosen, val = best(seq, True, [(m1, None), (m2, None)])
+        pairs.extend(chosen)
+        total += val
     for seq in dec.odd_cycles:
         cands = [(_leave_out(seq, q), seq[q]) for q in range(len(seq))]
         chosen, val = best(seq, True, cands)

@@ -2,13 +2,13 @@
 
 import itertools
 import random
+import sys
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devmatch import classic
 from devmatch.classic import (
     NotBipartite,
     Unsolvable,
@@ -242,7 +242,7 @@ class TestMaxCardinality:
         assert len(m.pairs) == 3 * count // 2
 
     def test_reaches_no_networkx_code(self, monkeypatch):
-        monkeypatch.setattr(classic, "nx", Unreachable())
+        monkeypatch.setitem(sys.modules, "networkx", Unreachable())
         assert max_cardinality_size(variable_gadget()) == 4
 
     def test_deterministic(self):

@@ -1,9 +1,14 @@
 """devmatch.solve: every engine against the exhaustive oracle."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import devmatch
 from devmatch import ENGINES, EngineUnsupported, solve
 from devmatch.core import Objective, SizeRegime, verify_solution
 from devmatch.fpt import PerfectInfeasible
@@ -88,3 +93,29 @@ def test_unknown_engine_is_refused():
     p = generate(GenSpec(n=4, seed=1))
     with pytest.raises(EngineUnsupported):
         solve(p, "greedy")
+
+
+SOLVE_EACH_REGIME = """
+import sys
+from dataclasses import replace
+
+import devmatch
+from devmatch.core import SizeRegime
+from devmatch.generators import GenSpec, generate
+
+base = generate(GenSpec(n=12, list_cap=3, deviator_fraction=0.3, seed=1))
+for regime in SizeRegime:
+    for engine in ("auto", "fpt"):
+        devmatch.solve(replace(base, size_regime=regime, budget=1), engine)
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "networkx"))
+"""
+
+
+def test_solving_loads_no_networkx():
+    """networkx serves only classic.max_weight_matching, which no solver calls."""
+    src = str(Path(devmatch.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", SOLVE_EACH_REGIME], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "[]"

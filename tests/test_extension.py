@@ -59,6 +59,13 @@ def weighted_extension(p, trunc, target_size):
     return m_mw
 
 
+def extended_problems(p):
+    """The problems the solver extends on: each part's ball sub-problem in the any-size regime."""
+    if p.size_regime is SizeRegime.ANY:
+        return [replace(sweep.problem, budget=p.budget) for sweep, _ in fpt._parts(p)[0]]
+    return [p]
+
+
 def survives_cut(p, trunc, i, j) -> bool:
     ranks, cut = p.instance.ranks, trunc.cut
     return all(
@@ -78,8 +85,12 @@ def survives_cut(p, trunc, i, j) -> bool:
 )
 def test_native_extension_agrees_with_the_weighted_one(seed, n, cap, model, objective, regime, k):
     base = generate(GenSpec(n=n, model=model, list_cap=cap, deviator_fraction=0.3, seed=seed))
-    p = replace(base, objective=objective, size_regime=regime, budget=k)
-    target = None if regime is SizeRegime.ANY else max_cardinality_size(p.instance)
+    for p in extended_problems(replace(base, objective=objective, size_regime=regime, budget=k)):
+        check_extensions(p, k)
+
+
+def check_extensions(p, k):
+    target = None if p.size_regime is SizeRegime.ANY else max_cardinality_size(p.instance)
     ball = fpt._ball_around_deviators(p)
     for cfg in enumerate_configurations(p, k):
         trunc = truncate_and_collect(p, cfg)

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import sys
 from dataclasses import replace
 
 import pytest
@@ -292,7 +293,7 @@ def triangles_and_path(c, m):
 
 
 def test_search_cost_does_not_grow_with_the_padding(monkeypatch):
-    """No per-configuration copy of the instance, no list read beyond the triangles."""
+    """One sub-instance per triangle and no per-configuration copy; no list read beyond them."""
     original = Instance.__post_init__
     inits = 0
 
@@ -308,7 +309,7 @@ def test_search_cost_does_not_grow_with_the_padding(monkeypatch):
         monkeypatch.setattr(Instance, "__post_init__", counted)
         out = optimize_fpt(p)
         monkeypatch.undo()
-        assert inits == 0
+        assert inits == 3
         assert set(p.instance.ranks) <= set(range(1, 10))
         results.append((out.value, out.certificate_note, len(p.instance.ranks)))
     assert results[0] == results[1]
@@ -367,6 +368,33 @@ def test_one_part_outcome_is_unchanged(regime, objective):
     assert verify_solution(p, out.matching, value, strict=True)
 
 
+# The same problem decided at budgets 2, 3 and 4 by the search before it
+# split problems into parts, in both regimes: under bp the walk stops at
+# the optimum's configuration, under ba only budget 4 reaches the optimum.
+CONNECTED_2_6_DECIDED = {
+    ("bp", 2): (2, "#25"), ("bp", 3): (2, "#25"), ("bp", 4): (2, "#25"),
+    ("ba", 2): None, ("ba", 3): None, ("ba", 4): (4, "#54"),
+}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("regime", [SizeRegime.ANY, SizeRegime.MAX_CARDINALITY])
+@pytest.mark.parametrize("objective", list(Objective))
+def test_one_part_budget_outcome_is_unchanged(regime, objective, k):
+    p = replace(connected_triangles(2, 6), objective=objective, size_regime=regime, budget=k)
+    out = solve_fpt(p)
+    tag = f"fpt-{objective.value}-{regime.value}"
+    want = CONNECTED_2_6_DECIDED[objective.value, k]
+    if want is None:
+        assert not out.feasible and out.certificate_note == tag
+        return
+    value, index = want
+    assert (out.value, out.certificate_note) == (value, tag + index)
+    pairs = CONNECTED_2_6_PAIRS + (() if regime is SizeRegime.ANY else CONNECTED_2_6_PATH)
+    assert tuple(sorted(out.matching.pairs)) == pairs
+    assert verify_solution(p, out.matching, value, strict=True)
+
+
 def triangles_2_6():
     return connected_triangles(2, 6)
 
@@ -387,7 +415,7 @@ def test_configuration_search_reaches_no_networkx(monkeypatch, build, regime):
         calls.append(args)
         return extend(*args)
 
-    monkeypatch.setattr(classic, "nx", Unreachable())
+    monkeypatch.setitem(sys.modules, "networkx", Unreachable())
     monkeypatch.setattr(fpt, "extend_via_weighted_matching", counted)
     p = replace(build(), size_regime=regime)
     optimize_fpt(p)

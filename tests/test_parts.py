@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from devmatch import fpt
 from devmatch.core import Instance, Objective, SizeRegime, verify_solution
 from devmatch.fpt import PerfectInfeasible, optimize_fpt, solve_fpt
 from devmatch.generators import GenModel, GenSpec, generate
@@ -140,3 +141,39 @@ def test_several_parts_are_reported_in_the_note(regime):
     # the deviator-free pair takes part only in the maximum-cardinality regime
     assert ((4, 5) in out.matching.pairs) == (regime is SizeRegime.MAX_CARDINALITY)
     assert not solve_fpt(problem(inst, deviators, regime=regime, budget=1)).feasible
+
+
+def test_last_part_is_only_decided():
+    """Deviator 2 alone, then 4, 5, 6 in one ball, where the budget 1 walk stops at value 1."""
+    inst = Instance(6, ((), (), (), (), (6,), (6,), (5, 4)), None)
+    out = solve_fpt(problem(inst, {2, 4, 5, 6}, budget=1))
+    assert (out.value, out.certificate_note) == (1, "fpt-bp-any#0+1")
+    assert optimize_fpt(problem(inst, {2, 4, 5, 6})).value == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    parts=st.lists(pieces(4), min_size=2, max_size=3),
+    objective=st.sampled_from(Objective),
+    regime=st.sampled_from([SizeRegime.ANY, SizeRegime.MAX_CARDINALITY]),
+    k=st.integers(1, 3),
+)
+def test_budget_solve_optimizes_all_but_the_last_part(parts, objective, regime, k):
+    """The last part's index and value are its own walk's at the budget the others leave."""
+    inst, deviators = disjoint_union(*parts)
+    p = problem(inst, deviators, objective, regime, budget=k)
+    sweeps, _ = fpt._parts(p)
+    assume(len(sweeps) >= 2)
+    earlier = [optimize_fpt(s.problem) for s, _ in sweeps[:-1]]
+    left = k - sum(e.value for e in earlier)
+    out = solve_fpt(p)
+    if left < 0:
+        assert not out.feasible
+        return
+    alone = sweeps[-1][0].search((left,))
+    assert out.feasible == (alone is not None)
+    if out.feasible:
+        assert out.value - (k - left) == alone.value
+        indices = [o.certificate_note.rpartition("#")[2] for o in earlier + [alone]]
+        index = "0" if set(indices) == {"0"} else "+".join(indices)
+        assert out.certificate_note == f"fpt-{objective.value}-{regime.value}#{index}"
