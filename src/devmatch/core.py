@@ -201,18 +201,6 @@ class Matching:
         object.__setattr__(self, "pairs", frozenset(norm))
         object.__setattr__(self, "_partner", partner)
 
-    @classmethod
-    def checked(cls, instance: Instance, pairs) -> "Matching":
-        """Build a matching, verifying every pair is mutually acceptable."""
-        m = cls(frozenset(tuple(p) for p in pairs))
-        ranks = instance.ranks
-        for i, j in m.pairs:
-            if i < 1 or j > instance.num_agents:
-                raise ValueError(f"pair ({i}, {j}) is out of range")
-            if j not in ranks[i] or i not in ranks[j]:
-                raise ValueError(f"pair ({i}, {j}) is not mutually acceptable")
-        return m
-
     def partner_of(self, i: int) -> int:
         """Partner of agent i, or i itself when unmatched."""
         return self._partner.get(i, i)
@@ -234,10 +222,12 @@ def is_perfect(instance: Instance, matching: Matching) -> bool:
     return 2 * len(matching.pairs) == instance.num_agents
 
 
-def _blocking_pairs_of(instance: Instance, matching: Matching, agents) -> frozenset:
-    """The blocking pairs with a member in agents; see blocking_report."""
+def _blocking_pairs_of(instance: Instance, mate: dict[int, int], agents) -> frozenset:
+    """The blocking pairs with a member in agents; see blocking_report.
+
+    mate maps each matched agent to its partner, as Matching keeps it.
+    """
     ranks = instance.ranks
-    mate = matching._partner
     found = set()
     # an unmatched agent's partner ranks one past the end of its list
     for i in agents:
@@ -267,7 +257,9 @@ class BlockingReport:
 
     @cached_property
     def blocking_pairs(self) -> frozenset[tuple[int, int]]:
-        return _blocking_pairs_of(self.instance, self.matching, self.instance.agents())
+        return _blocking_pairs_of(
+            self.instance, self.matching._partner, self.instance.agents()
+        )
 
     @cached_property
     def blocking_agents(self) -> frozenset[int]:
@@ -289,7 +281,7 @@ def blocking_report(
     deviators alone, so its cost does not grow with the number of agents;
     the full view scans every agent, in time linear in the total list length.
     """
-    pairs = _blocking_pairs_of(instance, matching, deviators)
+    pairs = _blocking_pairs_of(instance, matching._partner, deviators)
     agents = frozenset(a for pair in pairs for a in pair if a in deviators)
     return BlockingReport(instance, matching, pairs, agents)
 

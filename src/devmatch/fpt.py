@@ -281,8 +281,8 @@ def extend_via_weighted_matching(
 
     Lists are read through trunc.cut: agent i keeps prefs[i][:cut[i] - 1],
     and j still accepts i when i ranks above cut.get(j, infinity) on j's
-    list.  The graph spans every agent of p's part the candidate matching
-    left unmatched, relabelled 1..V in ascending id.  classic.covering_matching
+    list.  The graph is on the agents of p's part, already numbered 1..n;
+    those the candidate matching covers get no edges.  classic.covering_matching
     grows a tree from each exposed must-match agent of Q first, and with a
     target size (maximum-cardinality and perfect regimes) then augments
     from every other exposed agent, so the augmenting order does what the
@@ -303,23 +303,19 @@ def extend_via_weighted_matching(
         if r not in matched and cut[r] == 1:
             return None
 
-    vertices = [v for v in inst.agents() if v not in matched]
-    local = {v: i for i, v in enumerate(vertices, start=1)}
     adj = [()]
-    for i in vertices:
+    for i in inst.agents():
         stop = cut.get(i)
         own = inst.prefs[i]
-        adj.append([
-            local[j] for j in (own if stop is None else own[: stop - 1])
-            if j in local and inst.ranks[j].get(i, _UNRANKED) < cut.get(j, _UNRANKED)
+        adj.append([] if i in matched else [
+            j for j in (own if stop is None else own[: stop - 1])
+            if j not in matched and inst.ranks[j].get(i, _UNRANKED) < cut.get(j, _UNRANKED)
         ])
-    must = [local[r] for r in sorted(q) if r not in matched]
+    must = [r for r in sorted(q) if r not in matched]
     mate = covering_matching(adj, must, target_size is not None)
     if mate is None:
         return None
-    m_ext = Matching(frozenset(
-        (v, vertices[mate[i] - 1]) for i, v in enumerate(vertices, start=1) if i < mate[i]
-    ))
+    m_ext = Matching(frozenset((i, mate[i]) for i in inst.agents() if i < mate[i]))
     if target_size is not None and len(m_c.pairs) + len(m_ext.pairs) < target_size:
         return None
     return m_ext

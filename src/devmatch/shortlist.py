@@ -3,9 +3,8 @@
 With lists this short the acceptability graph is a disjoint union of paths
 and cycles, so each component can be handled in isolation and the objective
 is the sum of per-component contributions.  solve_shortlist_any minimises
-over all matchings in linear time; solve_shortlist_max minimises over
-maximum-cardinality matchings in quadratic time by enumerating each
-component's few maximum matchings.
+over all matchings, and solve_shortlist_max over maximum-cardinality
+matchings, both in linear time.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from .core import (
     Objective,
     SizeRegime,
     SolveOutcome,
+    _blocking_pairs_of,
     blocking_report,
     objective_value,
 )
@@ -232,88 +232,77 @@ def solve_shortlist_any(p: DeviatorProblem) -> SolveOutcome:
     return SolveOutcome.solution(matching, value, "shortlist-any")
 
 
-def _component_value(
-    seq: tuple[int, ...],
-    cycle: bool,
-    pairs: list[tuple[int, int]],
-    ranks,
-    deviators: frozenset[int],
-    objective: Objective,
-) -> int:
-    """Deviator objective restricted to one component's internal edges."""
-    partner: dict[int, int] = {}
-    for x, y in pairs:
-        partner[x] = y
-        partner[y] = x
+def _score(inst: Instance, mate: dict[int, int], agents, p: DeviatorProblem) -> int:
+    """The objective restricted to the deviators among agents, by core's scan."""
+    scan = {a for a in agents if a in p.deviators}
+    found = _blocking_pairs_of(inst, mate, scan)
+    if p.objective is Objective.BLOCKING_PAIRS:
+        return len(found)
+    return len({a for pair in found for a in pair if a in scan})
+
+
+def _mate(pairs: list[tuple[int, int]]) -> dict[int, int]:
+    return {a: b for x, y in pairs for a, b in ((x, y), (y, x))}
+
+
+def _best_hole(inst: Instance, seq: tuple[int, ...], cycle: bool, p: DeviatorProblem):
+    """The least (value, unmatched agent, position) over an odd component's holes.
+
+    An odd path can leave any agent at an even position unmatched, an odd
+    cycle any agent.  Moving the hole from q to q + 2 swaps the pair
+    (q+1, q+2) for (q, q+1): only blocking pairs touching agents q..q+2
+    change, so the value moves by the score of agents q-1..q+3 after the
+    swap minus their score before.
+    """
     k = len(seq)
-    count = 0
-    agents: set[int] = set()
-    for t in range(k if cycle else k - 1):
-        x, y = seq[t], seq[(t + 1) % k]
-        px, py = partner.get(x), partner.get(y)
-        if px is not None and not _prefers(ranks, x, y, px):
-            continue
-        if py is not None and not _prefers(ranks, y, x, py):
-            continue
-        hit = {x, y} & deviators
-        if hit:
-            count += 1
-            agents |= hit
-    return count if objective is Objective.BLOCKING_PAIRS else len(agents)
+    mate = _mate(_leave_out(seq, 0))
+    value = _score(inst, mate, seq, p)
+    best = (value, seq[0], 0)
+    q = 0
+    for _ in range(k - 1 if cycle else (k - 1) // 2):
+        window = [seq[t % k] for t in range(q - 1, q + 4) if cycle or 0 <= t < k]
+        value -= _score(inst, mate, window, p)
+        a, b, c = seq[q], seq[(q + 1) % k], seq[(q + 2) % k]
+        mate[a], mate[b] = b, a
+        del mate[c]
+        value += _score(inst, mate, window, p)
+        q = (q + 2) % k
+        best = min(best, (value, seq[q], q))
+    return best
 
 
 def solve_shortlist_max(p: DeviatorProblem) -> SolveOutcome:
     """Minimise the deviator objective over maximum-cardinality matchings.
 
-    Per component the maximum matchings are few: one for an even path, one
-    per odd position of an odd path, two for an even cycle, and one per
-    left-out agent of an odd cycle.  Each candidate is scored on the
-    component's own edges (no blocking pair spans components) and ties go
-    to the candidate leaving the smallest agent id unmatched.
+    Per component the maximum matchings are few: one for an even path, two
+    for an even cycle, and one per hole (unmatched agent) of an odd path or
+    cycle, all scored on the component alone (no blocking pair spans
+    components) in linear time by sliding the hole (see _best_hole).  Ties
+    go to the candidate leaving the smallest agent id unmatched, and to the
+    first for an even cycle.
     """
     if p.size_regime is not SizeRegime.MAX_CARDINALITY:
         raise ValueError("solve_shortlist_max handles the maximum-cardinality regime only")
     inst = p.instance
-    ranks = inst.ranks
     dec = decompose(inst)
     total = 0
     pairs: list[tuple[int, int]] = []
-
-    def best(seq, cycle, candidates):
-        chosen, chosen_val, chosen_open = None, None, None
-        for cand, open_agent in candidates:
-            val = _component_value(seq, cycle, cand, ranks, p.deviators, p.objective)
-            better = chosen_val is None or val < chosen_val
-            tie = (
-                chosen_val is not None
-                and val == chosen_val
-                and open_agent is not None
-                and (chosen_open is None or open_agent < chosen_open)
-            )
-            if better or tie:
-                chosen, chosen_val, chosen_open = cand, val, open_agent
-        return chosen, chosen_val
-
-    for seq in dec.paths:
+    components = [(s, False) for s in dec.paths]
+    components += [(s, True) for s in dec.even_cycles + dec.odd_cycles]
+    for seq, cycle in components:
         k = len(seq)
-        if k % 2 == 0:
-            cand = [(seq[t], seq[t + 1]) for t in range(0, k - 1, 2)]
-            cands = [(cand, None)]
+        if k % 2:
+            val, _, q = _best_hole(inst, seq, cycle, p)
+            chosen = _leave_out(seq, q)
         else:
-            cands = [(_leave_out(seq, q), seq[q]) for q in range(0, k, 2)]
-        chosen, val = best(seq, False, cands)
-        pairs.extend(chosen)
-        total += val
-    for seq in dec.even_cycles:
-        k = len(seq)
-        m1 = [(seq[t], seq[t + 1]) for t in range(0, k - 1, 2)]
-        m2 = [(seq[t], seq[(t + 1) % k]) for t in range(1, k, 2)]
-        chosen, val = best(seq, True, [(m1, None), (m2, None)])
-        pairs.extend(chosen)
-        total += val
-    for seq in dec.odd_cycles:
-        cands = [(_leave_out(seq, q), seq[q]) for q in range(len(seq))]
-        chosen, val = best(seq, True, cands)
+            candidates = [
+                [(seq[t], seq[(t + 1) % k]) for t in range(s, k - 1 + s, 2)]
+                for s in ((0, 1) if cycle else (0,))
+            ]
+            val, chosen = min(
+                ((_score(inst, _mate(m), seq, p), m) for m in candidates),
+                key=lambda scored: scored[0],
+            )
         pairs.extend(chosen)
         total += val
 

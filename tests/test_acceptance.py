@@ -18,10 +18,12 @@ import pytest
 from devmatch.classic import Unsolvable, gale_shapley, irving_sr
 from devmatch.core import (
     Instance,
+    Matching,
     Objective,
     SizeRegime,
     blocking_report,
     is_perfect,
+    objective_value,
     verify_solution,
 )
 from devmatch.fileio import serialize_instance
@@ -43,7 +45,6 @@ from devmatch.reductions import (
     witness_matching,
 )
 from devmatch.shortlist import (
-    _component_value,
     decompose,
     solve_shortlist_any,
     solve_shortlist_max,
@@ -138,7 +139,6 @@ def test_degree_two_solvers_are_exact_and_odd_cycles_account_for_the_cost():
     witnessed = {"free": 0, "pair": 0, "two agents": 0}
     for inst, deviators in corpus:
         parts = decompose(inst)
-        ranks = inst.ranks
         report = oracle_solve(problem(inst, deviators))
         report_max = oracle_solve(
             problem(inst, deviators, regime=SizeRegime.MAX_CARDINALITY)
@@ -150,17 +150,17 @@ def test_degree_two_solvers_are_exact_and_odd_cycles_account_for_the_cost():
                 report.optimum_bp if bp_objective else report.optimum_ba
             )
 
-            def cost(seq, cycle):
+            def cost(seq):
+                # no blocking pair spans two components
                 inside = [e for e in out.matching.pairs if e[0] in set(seq)]
-                return _component_value(
-                    seq, cycle, inside, ranks, deviators, objective
-                )
+                report = blocking_report(inst, Matching(inside), deviators & set(seq))
+                return objective_value(report, objective)
 
             for seq in parts.paths:
-                assert cost(seq, False) == 0
+                assert cost(seq) == 0
             for seq in parts.even_cycles:
-                assert cost(seq, True) == 0
-            odd_costs = [cost(seq, True) for seq in parts.odd_cycles]
+                assert cost(seq) == 0
+            odd_costs = [cost(seq) for seq in parts.odd_cycles]
             assert sum(odd_costs) == out.value
             for c in odd_costs:
                 if bp_objective:
@@ -436,7 +436,7 @@ def test_scaling_medians_and_slopes():
         return problem(ordered_cycle(n), frozenset(range(1, n + 1)))
 
     def max_problem(n):
-        # one odd path: the candidate sweep is genuinely quadratic here
+        # one odd path: the hole slides across all 2000 odd positions
         prefs = [(), (2,)]
         for i in range(2, n):
             prefs.append((i + 1, i - 1))

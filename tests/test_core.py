@@ -17,6 +17,7 @@ from devmatch.core import (
     SidedPairViolation,
     SizeRegime,
     ValueMismatch,
+    VerificationError,
     blocking_report,
     is_perfect,
     matching_size,
@@ -107,12 +108,6 @@ class TestMatching:
         with pytest.raises(ValueError):
             Matching(frozenset({(1, 1)}))
 
-    def test_checked_requires_mutual_acceptability(self):
-        inst = Instance(3, ((), (2,), (1,), ()), None)
-        Matching.checked(inst, {(1, 2)})
-        with pytest.raises(ValueError):
-            Matching.checked(inst, {(1, 3)})
-
     def test_size_and_perfect(self):
         inst = Instance(2, ((), (2,), (1,)), None)
         assert matching_size(Matching(frozenset())) == 0
@@ -173,6 +168,13 @@ class TestVerifySolution:
         assert not verify_solution(p, m, 1)
         with pytest.raises(BudgetExceeded):
             verify_solution(p, m, 1, strict=True)
+
+    def test_one_sided_pair_is_rejected(self):
+        # agent 1 ranks 3, but 3 ranks nobody
+        p = problem(Instance(3, ((), (2, 3), (1,), ()), None), set())
+        assert verify_solution(p, Matching(frozenset({(1, 2)})), 0, strict=True)
+        with pytest.raises(VerificationError, match="not mutually acceptable"):
+            verify_solution(p, Matching(frozenset({(1, 3)})), 0, strict=True)
 
     def test_value_mismatch(self):
         p = problem(ordered_cycle(3), {1, 2, 3})

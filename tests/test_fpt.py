@@ -206,7 +206,7 @@ class TestSolveFpt:
         assert re.fullmatch(r"fpt-bp-any#\d+", feasible.certificate_note)
         verify_solution(
             problem(ordered_cycle(3), {1, 2, 3}, budget=1),
-            feasible.matching, feasible.value,
+            feasible.matching, feasible.value, strict=True,
         )
 
     def test_perfect_precheck_on_odd_instance(self):
@@ -516,7 +516,7 @@ def test_matches_oracle(prob, objective, regime, k):
         assert not out.feasible
     else:
         assert out.feasible and out.value <= k
-        verify_solution(p, out.matching, out.value)
+        verify_solution(p, out.matching, out.value, strict=True)
 
     if want is None:
         with pytest.raises(PerfectInfeasible):
@@ -524,4 +524,4 @@ def test_matches_oracle(prob, objective, regime, k):
     else:
         best = optimize_fpt(p)
         assert best.value == want
-        verify_solution(p, best.matching, best.value)
+        verify_solution(p, best.matching, best.value, strict=True)

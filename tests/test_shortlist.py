@@ -1,5 +1,7 @@
 """Degree-two solvers: decomposition into paths/cycles and the two list solvers."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,8 @@ from devmatch.core import (
     Matching,
     Objective,
     SizeRegime,
+    blocking_report,
+    objective_value,
     verify_solution,
 )
 from devmatch.generators import GenModel, GenSpec, generate
@@ -73,20 +77,20 @@ class TestSolveAny:
         out = solve_shortlist_any(p)
         assert out.value == 1
         assert out.certificate_note == "shortlist-any"
-        verify_solution(p, out.matching, out.value)
+        verify_solution(p, out.matching, out.value, strict=True)
 
     def test_ordered_cycle_all_deviators_agents(self):
         p = problem(ordered_cycle(3), {1, 2, 3}, objective=Objective.BLOCKING_AGENTS)
         out = solve_shortlist_any(p)
         assert out.value == 2
-        verify_solution(p, out.matching, out.value)
+        verify_solution(p, out.matching, out.value, strict=True)
 
     def test_ordered_cycle_single_deviator(self):
         for objective in Objective:
             p = problem(ordered_cycle(3), {1}, objective=objective)
             out = solve_shortlist_any(p)
             assert out.value == 0
-            verify_solution(p, out.matching, out.value)
+            verify_solution(p, out.matching, out.value, strict=True)
 
     def test_budget_infeasibility(self):
         p = problem(ordered_cycle(3), {1, 2, 3}, budget=0)
@@ -119,7 +123,7 @@ class TestSolveMax:
         out = solve_shortlist_max(p)
         assert out.value == 2
         assert len(out.matching.pairs) == 1
-        verify_solution(p, out.matching, out.value)
+        verify_solution(p, out.matching, out.value, strict=True)
 
     def test_budget_infeasibility(self):
         p = problem(
@@ -129,13 +133,13 @@ class TestSolveMax:
         assert not solve_shortlist_max(p).feasible
 
 
-def degree_two_problems():
+def degree_two_problems(max_n=12):
     return st.builds(
         lambda n, seed, frac: generate(
             GenSpec(n=n, model=GenModel.PATH_CYCLE_ONLY, list_cap=2,
                     deviator_fraction=frac, seed=seed)
         ),
-        st.integers(0, 12),
+        st.integers(0, max_n),
         st.integers(0, 2**32 - 1),
         st.floats(0.0, 1.0),
     )
@@ -149,7 +153,7 @@ def test_any_matches_oracle(prob, objective):
     report = oracle_solve(p)
     want = report.optimum_bp if objective is Objective.BLOCKING_PAIRS else report.optimum_ba
     assert out.value == want
-    verify_solution(p, out.matching, out.value)
+    verify_solution(p, out.matching, out.value, strict=True)
 
 
 @settings(max_examples=150, deadline=None)
@@ -161,8 +165,68 @@ def test_max_matches_oracle(prob, objective):
     report = oracle_solve(p)
     want = report.optimum_bp if objective is Objective.BLOCKING_PAIRS else report.optimum_ba
     assert out.value == want
-    verify_solution(p, out.matching, out.value)
+    verify_solution(p, out.matching, out.value, strict=True)
     assert len(out.matching.pairs) == report.regime_sizes[0]
+
+
+def maximum_matchings(seq, cycle):
+    """Every maximum matching of one path or cycle, with the agent it leaves out."""
+    k = len(seq)
+
+    def consecutive(run):
+        return [(run[t], run[t + 1]) for t in range(0, len(run) - 1, 2)]
+
+    if k % 2 == 0:
+        rotated = [consecutive(seq[1:] + seq[:1])] if cycle else []
+        return [(m, None) for m in [consecutive(seq)] + rotated]
+    if cycle:
+        return [(consecutive(seq[q + 1:] + seq[:q]), seq[q]) for q in range(k)]
+    return [(consecutive(seq[:q]) + consecutive(seq[q + 1:]), seq[q]) for q in range(0, k, 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(prob=degree_two_problems(max_n=40), objective=st.sampled_from(Objective),
+       budget=st.sampled_from((None, 0, 1)))
+def test_max_picks_the_least_value_then_the_least_unmatched_id(prob, objective, budget):
+    """Brute force over each component's maximum matchings, scored by blocking_report."""
+    inst, deviators = prob.instance, prob.deviators
+    dec = decompose(inst)
+    total, pairs = 0, set()
+    for seq, cycle in (
+        [(s, False) for s in dec.paths] + [(s, True) for s in dec.even_cycles + dec.odd_cycles]
+    ):
+        def key(candidate):
+            m, left_out = candidate
+            assert 2 * len(m) == len(seq) - (left_out is not None)
+            report = blocking_report(inst, Matching(m), deviators & set(seq))
+            # an even component leaves nobody out: the first candidate wins ties
+            return objective_value(report, objective), left_out or 0
+
+        best = min(maximum_matchings(seq, cycle), key=key)
+        total += key(best)[0]
+        pairs.update(best[0])
+    p = problem(inst, deviators, objective, SizeRegime.MAX_CARDINALITY, budget)
+    out = solve_shortlist_max(p)
+    assert out.certificate_note == "shortlist-max"
+    if budget is not None and total > budget:
+        assert not out.feasible
+    else:
+        assert (out.matching.pairs, out.value) == (Matching(pairs).pairs, total)
+
+
+def test_max_scores_a_long_odd_cycle_in_little_memory():
+    """Sliding the unmatched agent keeps no candidate matchings around."""
+    n = 1001
+    p = problem(ordered_cycle(n), range(1, n + 1), Objective.BLOCKING_AGENTS,
+                SizeRegime.MAX_CARDINALITY)
+    tracemalloc.start()
+    try:
+        out = solve_shortlist_max(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.value == 2
+    assert peak < 4_000_000
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,6 +240,6 @@ def test_budget_consistency(prob, budget, objective):
     out = solve_shortlist_any(p_bud)
     if opt <= budget:
         assert out.feasible and out.value <= budget
-        verify_solution(p_bud, out.matching, out.value)
+        verify_solution(p_bud, out.matching, out.value, strict=True)
     else:
         assert not out.feasible
