@@ -82,14 +82,16 @@ def solve(problem: DeviatorProblem, engine: str = "auto", cap: int = 14) -> Solv
     """Answer a deviator problem with the named engine; "auto" picks one.
 
     auto sends lists of length at most 2 outside the perfect regime to the
-    shortlist solvers, and a zero budget in the any-size regime to the
-    bipartite restriction, kept when it applies; everything else goes to
-    the configuration search, which optimizes when the budget is None.
-    oracle enumerates every matching of at most cap agents.  Returns None
-    only from the bipartite engine, when its restriction does not apply.
+    shortlist solvers.  Any other any-size problem first tries the zero
+    certificate (the bipartite engine): a matching with no deviator
+    blocking pair has value 0, which fits every budget and is the optimum.
+    Everything else goes to the configuration search, which optimizes when
+    the budget is None.  oracle enumerates every matching of at most cap
+    agents.  Returns None only from the bipartite engine, when its
+    certificate does not exist.
 
     Raises EngineUnsupported for an unknown engine, shortlist in the perfect
-    regime, or bipartite outside the any-size regime or budget 0;
+    regime, or bipartite outside the any-size regime;
     shortlist.ListTooLong and oracle.TooLarge when the instance is out of
     the engine's reach; and fpt.PerfectInfeasible when optimizing a perfect
     matching that does not exist.
@@ -99,9 +101,9 @@ def solve(problem: DeviatorProblem, engine: str = "auto", cap: int = 14) -> Solv
         if problem.instance.d_max <= 2 and regime is not SizeRegime.PERFECT:
             engine = "shortlist"
         else:
-            if problem.budget == 0 and regime is SizeRegime.ANY:
+            if regime is SizeRegime.ANY:
                 outcome = solve(problem, "bipartite")
-                if outcome is not None and outcome.value <= 0:
+                if outcome is not None:
                     return outcome
             engine = "fpt"
 
@@ -113,15 +115,12 @@ def solve(problem: DeviatorProblem, engine: str = "auto", cap: int = 14) -> Solv
             return solve_shortlist_any(problem)
         return solve_shortlist_max(problem)
     if engine == "bipartite":
-        if regime is not SizeRegime.ANY or problem.budget != 0:
-            raise EngineUnsupported("the bipartite engine needs --regime any and --k 0")
+        if regime is not SizeRegime.ANY:
+            raise EngineUnsupported("the bipartite engine needs --regime any")
         matching = solve_bipartite_restriction(problem)
         if matching is None:
             return None
-        report = blocking_report(problem.instance, matching, problem.deviators)
-        return SolveOutcome.solution(
-            matching, objective_value(report, problem.objective), "bipartite-restriction"
-        )
+        return SolveOutcome.solution(matching, 0, "bipartite-restriction")
     if engine == "oracle":
         report = oracle_solve(problem, cap=cap)
         optimum = (

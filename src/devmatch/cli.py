@@ -34,7 +34,7 @@ _MODELS = {
 
 
 def _budget(text: str) -> int:
-    """argparse type for --k: a non-negative integer, anything else a usage error."""
+    """argparse type for --k and --max-oracle: a non-negative integer, else a usage error."""
     message = f"expected a non-negative integer, got {text!r}"
     try:
         value = int(text)
@@ -64,13 +64,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     add_problem_flags(p)
     p.add_argument("--engine", choices=ENGINES, default="auto")
-    p.add_argument("--max-oracle", type=int, default=14)
+    p.add_argument("--max-oracle", type=_budget, default=14)
     p.add_argument("--out", help="write the matching to this file")
 
     p = sub.add_parser("oracle", help="exhaustively analyse a small instance")
     p.add_argument("instance")
     add_problem_flags(p, with_budget=False)
-    p.add_argument("--max-oracle", type=int, default=14)
+    p.add_argument("--max-oracle", type=_budget, default=14)
 
     p = sub.add_parser("verify", help="check a matching against an instance")
     p.add_argument("instance")
@@ -265,6 +265,7 @@ def main(argv=None) -> int:
         oracle.TooLarge,
         shortlist.ListTooLong,
         OSError,
+        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -41,7 +41,13 @@ import itertools
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
-from .classic import covering_matching, gale_shapley, max_cardinality_matching, max_cardinality_size
+from .classic import (
+    Unsolvable,
+    covering_matching,
+    irving_sr,
+    max_cardinality_matching,
+    max_cardinality_size,
+)
 from .core import (
     DeviatorProblem,
     Instance,
@@ -527,45 +533,26 @@ def _solve_in_parts(p: DeviatorProblem) -> SolveOutcome:
 
 
 def solve_bipartite_restriction(p: DeviatorProblem) -> Matching | None:
-    """Zero-budget solve for instances bipartite after dropping conformist edges.
+    """A matching with no deviator blocking pair, certified by Irving's algorithm.
 
-    Removing every conformist-conformist acceptability pair leaves exactly
-    the edges that could ever host a deviator blocking pair.  When the
-    leftover graph is two-colourable, running the proposal algorithm on the
-    induced sided instance yields a matching with no deviator blocking pair
-    in the original.  Returns None when the leftover graph is odd-cycled
-    (not applicable).
+    Let H keep the deviators and the agents on their lists, relabelled in
+    ascending id, and only the edges that touch a deviator, each list in
+    its original order (the proposal table drops one-sided entries).  Any
+    deviator blocking pair is an edge of H ranked as in p, so a stable
+    matching of H has none in p; Irving's algorithm (Irving 1985) finds one
+    whenever H has one, and a bipartite H always has one (Gale & Shapley
+    1962).  Returns None when H has no stable matching.  The name is
+    historical: this test once two-coloured H and ran the proposal
+    algorithm on the two sides.
     """
     if p.size_regime is not SizeRegime.ANY:
         raise ValueError("the bipartite restriction works in the any-size regime")
-    inst = p.instance
-    n = inst.num_agents
-
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for i in inst.agents():
-        for j in inst.prefs[i]:
-            if i in inst.ranks[j]:
-                if i in p.deviators or j in p.deviators:
-                    adj[i].append(j)
-
-    color = [-1] * (n + 1)
-    for root in inst.agents():
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-
-    prefs = tuple(
-        tuple(j for j in inst.prefs[i] if j in adj_set) if i else ()
-        for i, adj_set in enumerate(map(set, adj))
-    )
-    sided = Instance(n, prefs, tuple(color[1:]))
-    return gale_shapley(sided)
+    prefs, devs = p.instance.prefs, p.deviators
+    agents = sorted(devs.union(*(prefs[d] for d in devs)))
+    new = {a: i for i, a in enumerate(agents, start=1)}
+    h = ((),) + tuple(tuple(new[j] for j in prefs[a] if a in devs or j in devs) for a in agents)
+    try:
+        m = irving_sr(Instance(len(agents), h))
+    except Unsolvable:
+        return None
+    return Matching(frozenset((agents[i - 1], agents[j - 1]) for i, j in m.pairs))

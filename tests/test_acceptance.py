@@ -6,6 +6,7 @@ deliberately heavier than the unit tests but should finish in a few
 minutes total.
 """
 
+import gc
 import json
 import math
 import pathlib
@@ -402,8 +403,20 @@ def test_scaling_medians_and_slopes():
     instances finish under a second (median of seven).  Component-solver
     timings across 1k/2k/4k agents grow linearly for the any-size
     routine (log-log slope within 0.3 of 1) and at most quadratically
-    for the max-cardinality routine (slope at most 2.3).
+    for the max-cardinality routine (slope at most 2.3).  Each call is
+    timed with the garbage collector off, and each slope is the median
+    of three independent estimates, so one pause does not move it.
     """
+
+    def timed(solve, p):
+        gc.disable()
+        try:
+            begun = time.perf_counter()
+            solve(p)
+            return time.perf_counter() - begun
+        finally:
+            gc.enable()
+
     times = []
     seed = 0
     while len(times) < 7:
@@ -413,23 +426,15 @@ def test_scaling_medians_and_slopes():
             continue
         pick = random.Random(seed)
         deviators = frozenset(pick.sample(range(1, 201), 3))
-        p = problem(drawn.instance, deviators, budget=0)
-        begun = time.perf_counter()
-        solve_fpt(p)
-        times.append(time.perf_counter() - begun)
+        times.append(timed(solve_fpt, problem(drawn.instance, deviators, budget=0)))
     assert statistics.median(times) < 1.0
 
-    def best_time(make, solve, n, repeats):
-        p = make(n)
-        best = math.inf
-        for _ in range(repeats):
-            begun = time.perf_counter()
-            solve(p)
-            best = min(best, time.perf_counter() - begun)
-        return best
+    def slope(make, solve, repeats):
+        best = [min(timed(solve, p) for _ in range(repeats)) for p in map(make, sizes)]
+        return math.log(best[2] / best[0]) / math.log(4)
 
-    def slope(triple):
-        return math.log(triple[2] / triple[0]) / math.log(4)
+    def median_slope(make, solve, repeats):
+        return statistics.median(slope(make, solve, repeats) for _ in range(3))
 
     def any_problem(n):
         # one ordered odd cycle: the linear-time treatment end to end
@@ -448,7 +453,5 @@ def test_scaling_medians_and_slopes():
         )
 
     sizes = (1001, 2001, 4001)
-    linear = [best_time(any_problem, solve_shortlist_any, n, 5) for n in sizes]
-    quadratic = [best_time(max_problem, solve_shortlist_max, n, 3) for n in sizes]
-    assert 0.7 <= slope(linear) <= 1.3
-    assert slope(quadratic) <= 2.3
+    assert 0.7 <= median_slope(any_problem, solve_shortlist_any, 5) <= 1.3
+    assert median_slope(max_problem, solve_shortlist_max, 3) <= 2.3

@@ -33,7 +33,7 @@ def expected_error(engine, p, want):
             return EngineUnsupported
         if p.instance.d_max > 2:
             return ListTooLong
-    if engine == "bipartite" and (regime is not SizeRegime.ANY or p.budget != 0):
+    if engine == "bipartite" and regime is not SizeRegime.ANY:
         return EngineUnsupported
     if engine in ("auto", "fpt") and p.budget is None and want is None:
         return PerfectInfeasible

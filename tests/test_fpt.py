@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from devmatch import classic, fpt
+from devmatch import classic, fpt, solve
 from devmatch.core import (
     Instance,
     Matching,
@@ -265,6 +265,44 @@ class TestBipartiteRestriction:
         assert m is not None
         rep = blocking_report(prob.instance, m, prob.deviators)
         assert rep.deviator_pairs == frozenset()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        model=st.sampled_from([GenModel.SRI_UNIFORM, GenModel.SMI_UNIFORM]),
+        list_cap=st.integers(1, 5),
+        fraction=st.floats(0, 0.6),
+    )
+    def test_certificate_against_the_oracle(self, seed, n, model, list_cap, fraction):
+        """A certified draw has optimum 0 under both objectives, and auto returns it."""
+        drawn = generate(GenSpec(n=n, model=model, list_cap=list_cap,
+                                 deviator_fraction=fraction, seed=seed))
+        inst, devs = drawn.instance, drawn.deviators
+        if solve_bipartite_restriction(problem(inst, devs)) is None:
+            return
+        report = oracle_solve(problem(inst, devs))
+        assert report.optimum_bp == report.optimum_ba == 0
+        for objective in Objective:
+            for budget in (None, 0, 1):
+                p = problem(inst, devs, objective, budget=budget)
+                out = solve(p)
+                assert out.value == 0
+                assert verify_solution(p, out.matching, 0, strict=True)
+
+
+def test_certified_solve_reads_only_the_deviators_and_their_neighbours():
+    """The zero certificate reads no rank table beyond the deviators' lists."""
+    drawn = generate(GenSpec(n=400, list_cap=4, deviator_fraction=0.0, seed=3))
+    devs = frozenset({5, 150, 333})
+    near = devs.union(*(drawn.instance.prefs[d] for d in devs))
+    assert drawn.instance.d_max == 4  # so auto does not pick the shortlist engine
+    for objective in Objective:
+        for budget in (0, 1, None):
+            inst = Instance(drawn.instance.num_agents, drawn.instance.prefs)
+            out = solve(problem(inst, devs, objective, budget=budget))
+            assert set(inst.ranks) <= near
+            assert (out.value, out.certificate_note) == (0, "bipartite-restriction")
 
 
 def test_any_regime_reads_only_nearby_lists():

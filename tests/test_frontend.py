@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devmatch import fileio
+from devmatch import fileio, solve
 from devmatch.cli import main
-from devmatch.core import Instance, Matching
+from devmatch.core import DeviatorProblem, Instance, Matching, Objective, SizeRegime
 from devmatch.generators import GenSpec, GenModel, generate
 from devmatch.reductions import CnfFormula, sat_to_perfect_smi
 
@@ -319,6 +319,30 @@ class TestCli:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("command", [
+        ["validate", "{bad}"],
+        ["solve", "{bad}", "--k", "0"],
+        ["verify", "{inst}", "--matching", "{bad}"],
+        ["reduce", "sat2smi", "{bad}"],
+    ])
+    def test_non_utf8_input_is_an_input_error(self, cycle_file, tmp_path, capsys, command):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe")
+        assert main([a.format(inst=cycle_file, bad=bad) for a in command]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    @pytest.mark.parametrize("cap", ["-1", "x"])
+    def test_bad_oracle_cap_is_a_usage_error(self, cycle_file, capsys, command, cap):
+        with pytest.raises(SystemExit) as exc:
+            main([command, cycle_file, "--max-oracle", cap])
+        assert exc.value.code == 2
+        assert f"argument --max-oracle: expected a non-negative integer, got '{cap}'" in (
+            capsys.readouterr().err
+        )
+
     def test_verify_reports_an_agent_in_two_pairs(self, cycle_file, tmp_path, capsys):
         matching = tmp_path / "m.txt"
         matching.write_text("1 2\n1 3\n")
@@ -337,6 +361,33 @@ class TestCli:
         assert inst.num_agents == 6
         assert devs == frozenset(range(1, 7))
         assert inst.prefs[1] == (5, 2, 3, 4, 6)
+
+
+@pytest.mark.parametrize("model", ["sri", "smi", "pathcycle"])
+def test_cli_solve_prints_what_the_library_returns(tmp_path, capsys, model):
+    """devmatch solve on generated files prints devmatch.solve's pairs, value and algorithm."""
+    for seed in range(8):
+        path = tmp_path / f"{model}-{seed}.dsm"
+        assert main(["gen", "--n", str(8 + seed), "--model", model, "--seed", str(seed),
+                     "--list-cap", "2" if model == "pathcycle" else "4",
+                     "--deviator-fraction", "0.6", "--out", str(path)]) == 0
+        for regime in ("any", "max"):
+            for objective in ("bp", "ba"):
+                for flags, budget in ((["--k", "0"], 0), (["--optimize"], None)):
+                    code = main(["solve", str(path), "--regime", regime,
+                                 "--objective", objective, *flags])
+                    printed = capsys.readouterr().out.splitlines()
+                    inst, devs = fileio.parse_instance(path.read_text())
+                    out = solve(DeviatorProblem(inst, devs, Objective(objective),
+                                                SizeRegime(regime), budget))
+                    if out.feasible:
+                        want = [f"{i} {j}" for i, j in sorted(out.matching.pairs)]
+                        want.append(f"value {out.value}")
+                    else:
+                        want = ["infeasible"]
+                    want.append(f"algorithm {out.certificate_note}")
+                    assert (code, printed) == (0 if out.feasible else 1, want), (
+                        seed, regime, objective, budget)
 
 
 @pytest.mark.parametrize("regime", ["any", "max"])
