@@ -34,7 +34,7 @@ _MODELS = {
 
 
 def _budget(text: str) -> int:
-    """argparse type for --k and --max-oracle: a non-negative integer, else a usage error."""
+    """argparse type of --k, --max-oracle and --value: a non-negative int, else a usage error."""
     message = f"expected a non-negative integer, got {text!r}"
     try:
         value = int(text)
@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--matching", required=True)
     add_problem_flags(p)
-    p.add_argument("--value", type=int, default=None)
+    p.add_argument("--value", type=_budget, default=None)
 
     p = sub.add_parser("gen", help="generate a random instance")
     p.add_argument("--n", type=int, required=True)
@@ -262,6 +262,7 @@ def main(argv=None) -> int:
         InstanceError,
         reductions.CnfError,
         reductions.RegimeUnsupported,
+        reductions.BudgetTooLarge,
         oracle.TooLarge,
         shortlist.ListTooLong,
         OSError,

@@ -23,22 +23,22 @@ acceptability-distance three or more from the deviator set; the lazy
 Instance.ranks, which holds a table for every agent whose list was read,
 lets tests check exactly that.
 
-optimize_fpt tries budgets 0, 1, 2, ... in turn.  What does not depend on
-the budget (the maximum matching size, floors, extension values) is computed
-once and shared by all of them.
-
 Both entry points search independent parts one by one and add up their
 optima, exactly: a blocking pair is an edge, so both objectives add up over
 parts no edge joins.  A part is a sub-instance relabelled in ascending id:
 a deviator group's distance-two ball in the any-size regime, where blocking
 pairs depend only on partners that close, and else a component, as
 matching sizes add up.  Under a budget the last part is only decided.
+
+Each part tries budgets 0, 1, 2, ... in turn.  What does not depend on the
+budget (the maximum matching size, floors, extension values) lives in the
+part's _Sweep, which hands itself to each budget's solve_fpt walk as the
+keyword-only _sweep argument; the module keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import itertools
-from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 from .classic import (
@@ -329,16 +329,17 @@ def extend_via_weighted_matching(
 
 @dataclass
 class _Sweep:
-    """The budget-independent part of a search, shared by its budgets.
+    """The budget-independent part of one part's search, shared by its budgets.
 
-    problem is the search's problem with its budget left out.  target is
-    the maximum matching size (None in the any-size regime).  floors maps a
-    candidate matching's pairs to its floor (see floor); values maps a
-    memo key (candidate matching, cut) to the value of its extension, or to
-    None when the extension is rejected.  Both depend on the configuration
-    alone, so every budget reuses them.  Only values are kept, not
-    matchings, which in the maximum-cardinality regime span the whole
-    part: an extension is redone only when its value fits the budget,
+    search hands the sweep to each budget's solve_fpt walk as its _sweep
+    argument.  problem is the part's problem with its budget left out.
+    target is the maximum matching size (None in the any-size regime).
+    floors maps a candidate matching's pairs to its floor (see floor);
+    values maps a memo key (candidate matching, cut) to the value of its
+    extension, or to None when the extension is rejected.  Both depend on
+    the configuration alone, so every budget reuses them.  Only values are
+    kept, not matchings, which in the maximum-cardinality regime span the
+    whole part: an extension is redone only when its value fits the budget,
     which ends the search.
     """
 
@@ -372,20 +373,9 @@ class _Sweep:
         return len(locked)
 
     def search(self, budgets) -> SolveOutcome | None:
-        """The outcome at the first of budgets that works, or None."""
-        token = _active_sweep.set(self)
-        try:
-            outs = (solve_fpt(replace(self.problem, budget=k)) for k in budgets)
-            return next((out for out in outs if out.feasible), None)
-        finally:
-            _active_sweep.reset(token)
-
-
-# The sweep of the optimize_fpt call in progress, so that each budget's
-# solve_fpt reuses what the smaller budgets found.  A context variable
-# rather than a parameter keeps solve_fpt's signature, and optimize_fpt
-# resets it on the way out.
-_active_sweep: ContextVar[_Sweep | None] = ContextVar("fpt_active_sweep", default=None)
+        """The outcome at the first of budgets that works, or None; each walk gets this sweep."""
+        outs = (solve_fpt(replace(self.problem, budget=k), _sweep=self) for k in budgets)
+        return next((out for out in outs if out.feasible), None)
 
 
 def _note(p: DeviatorProblem, index: int | str | None = None) -> str:
@@ -393,20 +383,20 @@ def _note(p: DeviatorProblem, index: int | str | None = None) -> str:
     return tag if index is None else f"{tag}#{index}"
 
 
-def solve_fpt(p: DeviatorProblem) -> SolveOutcome:
+def solve_fpt(p: DeviatorProblem, *, _sweep: _Sweep | None = None) -> SolveOutcome:
     """Decide whether the budget is attainable, returning a witness matching.
 
-    Splits p into parts (_solve_in_parts).  Called back by a part's sweep,
-    walks the stream and returns on the first configuration whose
+    Without _sweep, splits p into parts (_solve_in_parts).  _sweep is
+    internal: passed by a part's _Sweep.search, it makes this call walk
+    that part's stream, returning on the first configuration whose
     truncation survives, whose extension is accepted, and whose combined
     matching verifies at value <= budget; exhausting it means infeasible.
     """
     if p.budget is None:
         raise ValueError("solve_fpt needs an explicit budget")
-    sweep = _active_sweep.get()
-    if sweep is None or sweep.problem != replace(p, budget=None):
+    if _sweep is None:
         return _solve_in_parts(p)
-    k = p.budget
+    sweep, k = _sweep, p.budget
 
     for cfg in enumerate_configurations(p, k):
         m_c = cfg.candidate_matching
@@ -446,8 +436,9 @@ def optimize_fpt(p: DeviatorProblem) -> SolveOutcome:
     pool's size add nothing, and the pool-sized budget always succeeds in
     the any-size and maximum-cardinality regimes.  The perfect regime raises
     PerfectInfeasible when the instance has no perfect matching at all.
-    The budgets share one _Sweep, so an extension that failed a smaller
-    budget is not redone unless its value fits.
+    Each part's budgets share that part's _Sweep, passed to every walk, so
+    an extension that failed a smaller budget is not redone unless its
+    value fits.
     """
     if p.budget is not None:
         raise ValueError("optimize_fpt expects no budget")
@@ -524,12 +515,9 @@ def _solve_in_parts(p: DeviatorProblem) -> SolveOutcome:
         total += out.value
         indices.append(out.certificate_note.rpartition("#")[2])
         pairs.update((ids[i - 1], ids[j - 1]) for i, j in out.matching.pairs)
-    matching = Matching(frozenset(pairs))
-    value = objective_value(blocking_report(p.instance, matching, p.deviators), p.objective)
-    assert value == total, f"joined value {value}, part optima add up to {total}"
     # Parts all accepted at their configuration #0, or no parts, make up the whole's #0.
     index = "0" if set(indices) <= {"0"} else "+".join(indices)
-    return SolveOutcome.solution(matching, value, _note(p, index))
+    return SolveOutcome.solution(Matching(frozenset(pairs)), total, _note(p, index))
 
 
 def solve_bipartite_restriction(p: DeviatorProblem) -> Matching | None:

@@ -56,6 +56,10 @@ class RegimeUnsupported(ValueError):
     """The transformation applies to perfect-regime zero-budget problems only."""
 
 
+class BudgetTooLarge(ValueError):
+    """The budget exceeds the agent count, which bounds every blocking-agent count."""
+
+
 @dataclass(frozen=True)
 class CnfFormula:
     """A CNF formula where every clause has exactly three distinct literals.
@@ -401,11 +405,14 @@ def minba_complete(inst: Instance, k: int) -> Instance:
     dummy ranks its owner first.  All lists are then completed following the
     global ranking that interleaves owners and their dummies in id order.
     Whether at most k agents must be blocking is preserved in both
-    directions.
+    directions.  At most n agents can block, so a k above n asks nothing
+    and raises BudgetTooLarge rather than building (k + 1) * n agents.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     n = inst.num_agents
+    if k > n:
+        raise BudgetTooLarge(f"k = {k} exceeds the {n} agents, and at most {n} can block")
     step = k + 1
     total = step * n
 

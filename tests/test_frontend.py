@@ -303,9 +303,10 @@ class TestCli:
         assert all(len(inst2.prefs[a]) == 599 for a in inst2.agents())
 
     @pytest.mark.parametrize("command", [
-        ["solve", "{inst}"],
-        ["verify", "{inst}", "--matching", "{matching}"],
-        ["reduce", "minba-complete", "{inst}"],
+        ["solve", "{inst}", "--k"],
+        ["verify", "{inst}", "--matching", "{matching}", "--k"],
+        ["reduce", "minba-complete", "{inst}", "--k"],
+        ["verify", "{inst}", "--matching", "{matching}", "--value"],
     ])
     @pytest.mark.parametrize("k", ["-1", "x"])
     def test_bad_budget_is_a_usage_error(self, cycle_file, tmp_path, capsys, command, k):
@@ -313,9 +314,9 @@ class TestCli:
         matching.write_text("1 2\n")
         argv = [a.format(inst=cycle_file, matching=matching) for a in command]
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--k", k])
+            main(argv + [k])
         assert exc.value.code == 2
-        assert f"argument --k: expected a non-negative integer, got '{k}'" in (
+        assert f"argument {command[-1]}: expected a non-negative integer, got '{k}'" in (
             capsys.readouterr().err
         )
 
@@ -361,6 +362,14 @@ class TestCli:
         assert inst.num_agents == 6
         assert devs == frozenset(range(1, 7))
         assert inst.prefs[1] == (5, 2, 3, 4, 6)
+
+    def test_reduce_minba_refuses_a_budget_above_the_agent_count(self, tmp_path, capsys):
+        src = tmp_path / "inst.dsm"
+        src.write_text("dsm 1\nagents 2\nprefs 1: 2\nprefs 2: 1\n")
+        assert main(["reduce", "minba-complete", str(src), "--k", "100000000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: k = 100000000000 exceeds the 2 agents")
 
 
 @pytest.mark.parametrize("model", ["sri", "smi", "pathcycle"])

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -13,11 +14,13 @@ from devmatch.core import (
     blocking_report,
     verify_solution,
 )
+from devmatch.generators import GenModel, GenSpec, generate
 from devmatch.oracle import enumerate_matchings, oracle_solve
 from devmatch.reductions import (
     MAX_SEARCH_VARS,
     BadArity,
     BadOccurrence,
+    BudgetTooLarge,
     CnfError,
     CnfFormula,
     DuplicateLiteral,
@@ -319,6 +322,27 @@ class TestCompleteLists:
         assert (before == 0) == (after == 0)
 
 
+def test_zero_answers_survive_the_reductions_on_generated_smi():
+    """Seeded SMI draws, n <= 4: the perfect-regime zero answer is the any-regime one.
+
+    After smi_to_sri, and for n <= 3 also after complete_lists of its output.
+    """
+    answers = set()
+    for seed in range(96):
+        n = 2 + seed % 3
+        fraction = (0.0, 0.34, 0.67, 1.0)[seed // 3 % 4]
+        p = generate(GenSpec(n, GenModel.SMI_UNIFORM, list_cap=n, deviator_fraction=fraction,
+                             seed=seed))
+        before = oracle_solve(replace(p, size_regime=SizeRegime.PERFECT)).optimum_bp == 0
+        sri = smi_to_sri(replace(p, size_regime=SizeRegime.PERFECT, budget=0))
+        assert (oracle_solve(replace(sri, budget=None)).optimum_bp == 0) == before, seed
+        if n <= 3:
+            full = complete_lists(sri)
+            assert (oracle_solve(replace(full, budget=None)).optimum_bp == 0) == before, seed
+        answers.add(before)
+    assert answers == {False, True}  # both answers occur, so neither direction is vacuous
+
+
 class TestMinbaComplete:
     def test_worked_example(self):
         inst = Instance(3, ((), (3,), (3,), (1, 2)), None)
@@ -339,6 +363,14 @@ class TestMinbaComplete:
             assert out.num_agents == (k + 1) * 3
             for a in out.agents():
                 assert len(out.prefs[a]) == out.num_agents - 1
+
+    def test_budget_above_the_agent_count_is_refused(self):
+        inst = Instance(2, ((), (2,), (1,)), None)
+        assert minba_complete(inst, 2).num_agents == 6
+        with pytest.raises(BudgetTooLarge, match="exceeds the 2 agents"):
+            minba_complete(inst, 3)
+        with pytest.raises(BudgetTooLarge):
+            minba_complete(inst, 10**11)
 
     def test_threshold_answers_correspond(self):
         rng = random.Random(7)
