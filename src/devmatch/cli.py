@@ -263,6 +263,7 @@ def main(argv=None) -> int:
         reductions.CnfError,
         reductions.RegimeUnsupported,
         reductions.BudgetTooLarge,
+        reductions.OutputTooLarge,
         oracle.TooLarge,
         shortlist.ListTooLong,
         OSError,

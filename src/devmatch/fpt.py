@@ -16,12 +16,13 @@ Running time is exponential only in the number of deviators and the budget;
 everything else is polynomial.  In the any-size regime the work per
 configuration depends only on the deviators' neighbourhood, not on the
 number of agents: candidate matchings come from a backtracking walk that
-drops a clash as soon as it appears, the cut is a dict rather than a copy of
-the instance, and values and floors come from core.blocking_report's
-deviator view.  The solver touches no preference list of agents at
-acceptability-distance three or more from the deviator set; the lazy
-Instance.ranks, which holds a table for every agent whose list was read,
-lets tests check exactly that.
+drops a clash as soon as it appears, one pass over the deviators' lists per
+candidate matching (_scan) gives its floor and the triggers every truncation
+reads, the cut is a dict rather than a copy of the instance, and values come
+from core.blocking_report's deviator view.  The solver touches no preference
+list of agents at acceptability-distance three or more from the deviator
+set; the lazy Instance.ranks, which holds a table for every agent whose list
+was read, lets tests check exactly that.
 
 Both entry points search independent parts one by one and add up their
 optima, exactly: a blocking pair is an edge, so both objectives add up over
@@ -31,7 +32,7 @@ pairs depend only on partners that close, and else a component, as
 matching sizes add up.  Under a budget the last part is only decided.
 
 Each part tries budgets 0, 1, 2, ... in turn.  What does not depend on the
-budget (the maximum matching size, floors, extension values) lives in the
+budget (the maximum matching size, extension values) lives in the
 part's _Sweep, which hands itself to each budget's solve_fpt walk as the
 keyword-only _sweep argument; the module keeps no state between calls.
 """
@@ -93,7 +94,8 @@ class TruncationResult:
     the entries strictly better than that deviator; agents absent from cut
     keep their whole list.  The instance itself is never copied.
     must_match is the set of cut agents.  rejected is set when the
-    configuration is self-contradictory, with reason saying why.
+    configuration is self-contradictory, with reason saying why; a rejected
+    cut holds the triggers folded in up to the one that rejected it.
     """
 
     cut: dict[int, int]
@@ -198,48 +200,60 @@ def enumerate_configurations(p: DeviatorProblem, k: int):
                 index += 1
 
 
-def truncate_and_collect(p: DeviatorProblem, cfg: CandidateConfiguration) -> TruncationResult:
+def _scan(p: DeviatorProblem, m_c: Matching) -> tuple[list, int]:
+    """A candidate matching's triggers and floor, from one pass over the deviators' lists.
+
+    A trigger (d, r, back, breaks) is an agent r that deviator d ranks above
+    its partner in M_C (every r when d is unmatched), in ascending d and
+    then rank order; back is d's rank on r's list, and breaks is set when
+    M_C matches r to a partner r ranks below d.  A breaking trigger is a
+    blocking pair of M_C whose end across from d keeps its partner in every
+    completion, so it blocks whatever the tolerated set: the floor counts
+    those pairs, or the deviators in them under the agent objective.
+    """
+    inst, devs = p.instance, p.deviators
+    ranks, triggers, locked = inst.ranks, [], set()
+    for d in sorted(devs):
+        # an unmatched d is its own partner, which its list does not rank
+        for r in inst.prefs[d][: ranks[d].get(m_c.partner_of(d), _UNRANKED) - 1]:
+            back, mate = ranks[r][d], m_c.partner_of(r)
+            breaks = mate != r and back < ranks[r][mate]
+            triggers.append((d, r, back, breaks))
+            if breaks:
+                locked.add((d, r) if d < r else (r, d))
+    if p.objective is Objective.BLOCKING_AGENTS:
+        locked = {a for pair in locked for a in pair} & devs
+    return triggers, len(locked)
+
+
+def truncate_and_collect(
+    p: DeviatorProblem, cfg: CandidateConfiguration, triggers: list
+) -> TruncationResult:
     """Apply the must-match truncation rule for one configuration.
 
-    Scans all deviators first and cuts afterwards, so an agent triggered by
+    triggers are the candidate matching's, from _scan.  Each one the
+    tolerated set does not cover cuts its agent, so an agent triggered by
     several deviators is cut once, at the best-ranked one.  Rejects when
-    tolerated pairs overlap the candidate matching or when a matched pair
-    loses a member's entry to the cut.  Reads only the deviators' lists and
-    their entries' rank tables.
+    tolerated pairs overlap the candidate matching or when an uncovered
+    trigger breaks a matched pair.  Reads no preference list.
     """
-    inst = p.instance
-    m_c = cfg.candidate_matching
+    m_c, blocked = cfg.candidate_matching, cfg.blocked_set
     by_pairs = p.objective is Objective.BLOCKING_PAIRS
 
-    if by_pairs and not cfg.blocked_set.isdisjoint(m_c.pairs):
+    if by_pairs and not blocked.isdisjoint(m_c.pairs):
         return TruncationResult({}, frozenset(), True, "tolerated pair is matched", cfg)
 
     cut: dict[int, int] = {}
-    for d in sorted(p.deviators):
-        if not by_pairs and d in cfg.blocked_set:
+    for d, r, back, breaks in triggers:
+        if (((d, r) if d < r else (r, d)) if by_pairs else d) in blocked:
             continue
-        own = inst.prefs[d]
-        partner = m_c.partner_of(d)
-        better = own[: inst.ranks[d][partner] - 1] if partner != d else own
-        for r in better:
-            if by_pairs and ((d, r) if d < r else (r, d)) in cfg.blocked_set:
-                continue
-            back = inst.ranks[r][d]
-            if back < cut.get(r, _UNRANKED):
-                cut[r] = back
-
-    must = frozenset(cut)
-    for i, j in m_c.pairs:
-        for a, b in ((i, j), (j, i)):
-            if a in cut and cut[a] <= inst.ranks[a][b]:
-                return TruncationResult(
-                    cut,
-                    must,
-                    True,
-                    f"matched pair ({i}, {j}) falls to the truncation of {a}",
-                    cfg,
-                )
-    return TruncationResult(cut, must, False, None, cfg)
+        if back < cut.get(r, _UNRANKED):
+            cut[r] = back
+        if breaks:
+            i, j = sorted((r, m_c.partner_of(r)))
+            reason = f"matched pair ({i}, {j}) falls to the truncation of {r}"
+            return TruncationResult(cut, frozenset(cut), True, reason, cfg)
+    return TruncationResult(cut, frozenset(cut), False, None, cfg)
 
 
 def _find(parent, a: int) -> int:
@@ -334,10 +348,9 @@ class _Sweep:
     search hands the sweep to each budget's solve_fpt walk as its _sweep
     argument.  problem is the part's problem with its budget left out.
     target is the maximum matching size (None in the any-size regime).
-    floors maps a candidate matching's pairs to its floor (see floor);
     values maps a memo key (candidate matching, cut) to the value of its
-    extension, or to None when the extension is rejected.  Both depend on
-    the configuration alone, so every budget reuses them.  Only values are
+    extension, or to None when the extension is rejected.  It depends on
+    the configuration alone, so every budget reuses it.  Only values are
     kept, not matchings, which in the maximum-cardinality regime span the
     whole part: an extension is redone only when its value fits the budget,
     which ends the search.
@@ -345,7 +358,6 @@ class _Sweep:
 
     problem: DeviatorProblem
     target: int | None
-    floors: dict = field(default_factory=dict)
     values: dict = field(default_factory=dict)
 
     @classmethod
@@ -354,23 +366,6 @@ class _Sweep:
         if p.size_regime is not SizeRegime.ANY:
             target = max_cardinality_size(p.instance)
         return cls(replace(p, budget=None), target)
-
-    def floor(self, m_c: Matching) -> int:
-        """Objective value already locked in by the candidate matching alone.
-
-        Counts the deviator blocking pairs of M_C whose end across from a
-        deviator is matched by M_C: that end keeps its partner in every
-        completion, so the pair blocks whatever the tolerated set.
-        """
-        devs = self.problem.deviators
-        locked = [
-            (i, j)
-            for i, j in blocking_report(self.problem.instance, m_c, devs).deviator_pairs
-            if (i in devs and m_c.is_matched(j)) or (j in devs and m_c.is_matched(i))
-        ]
-        if self.problem.objective is Objective.BLOCKING_AGENTS:
-            locked = {a for pair in locked for a in pair} & devs
-        return len(locked)
 
     def search(self, budgets) -> SolveOutcome | None:
         """The outcome at the first of budgets that works, or None; each walk gets this sweep."""
@@ -398,14 +393,15 @@ def solve_fpt(p: DeviatorProblem, *, _sweep: _Sweep | None = None) -> SolveOutco
         return _solve_in_parts(p)
     sweep, k = _sweep, p.budget
 
+    m_c = None
     for cfg in enumerate_configurations(p, k):
-        m_c = cfg.candidate_matching
-        floor = sweep.floors.get(m_c.pairs)
-        if floor is None:
-            floor = sweep.floors[m_c.pairs] = sweep.floor(m_c)
+        # the stream yields each candidate matching's configurations together
+        if cfg.candidate_matching is not m_c:
+            m_c = cfg.candidate_matching
+            triggers, floor = _scan(p, m_c)
         if floor > k:
             continue
-        trunc = truncate_and_collect(p, cfg)
+        trunc = truncate_and_collect(p, cfg, triggers)
         if trunc.rejected:
             continue
         # A key met before, under this budget or a smaller one, is skipped

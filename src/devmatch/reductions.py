@@ -60,6 +60,10 @@ class BudgetTooLarge(ValueError):
     """The budget exceeds the agent count, which bounds every blocking-agent count."""
 
 
+class OutputTooLarge(ValueError):
+    """The completed lists would hold more than MAX_LIST_ENTRIES entries."""
+
+
 @dataclass(frozen=True)
 class CnfFormula:
     """A CNF formula where every clause has exactly three distinct literals.
@@ -139,6 +143,15 @@ def parse_cnf_22e3(text: str) -> CnfFormula:
 
 
 MAX_SEARCH_VARS = 24  # beyond it, one truth table takes more than 2 MB
+MAX_LIST_ENTRIES = 4_000_000  # 2,000 agents' complete lists; building them peaks near 200 MB
+
+
+def _refuse_complete_lists_of(agents: int) -> None:
+    """Raise OutputTooLarge, before building, if complete lists of this many agents are too big."""
+    if agents * (agents - 1) > MAX_LIST_ENTRIES:
+        raise OutputTooLarge(
+            f"complete lists of {agents} agents exceed {MAX_LIST_ENTRIES} preference-list entries"
+        )
 
 
 def literal_masks(num_vars: int) -> tuple[list[int], int]:
@@ -387,9 +400,13 @@ def smi_to_sri(p: DeviatorProblem) -> DeviatorProblem:
 
 
 def complete_lists(p: DeviatorProblem) -> DeviatorProblem:
-    """Append every unranked agent (ascending id) to every preference list."""
+    """Append every unranked agent (ascending id) to every preference list.
+
+    Raises OutputTooLarge when the output would exceed MAX_LIST_ENTRIES entries.
+    """
     inst = p.instance
     n = inst.num_agents
+    _refuse_complete_lists_of(n)
     prefs: list[tuple[int, ...]] = [()]
     for i in inst.agents():
         have = set(inst.prefs[i]) | {i}
@@ -406,7 +423,8 @@ def minba_complete(inst: Instance, k: int) -> Instance:
     global ranking that interleaves owners and their dummies in id order.
     Whether at most k agents must be blocking is preserved in both
     directions.  At most n agents can block, so a k above n asks nothing
-    and raises BudgetTooLarge rather than building (k + 1) * n agents.
+    and raises BudgetTooLarge rather than building (k + 1) * n agents; an
+    output above MAX_LIST_ENTRIES entries raises OutputTooLarge.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -415,6 +433,7 @@ def minba_complete(inst: Instance, k: int) -> Instance:
         raise BudgetTooLarge(f"k = {k} exceeds the {n} agents, and at most {n} can block")
     step = k + 1
     total = step * n
+    _refuse_complete_lists_of(total)
 
     def owner_id(i: int) -> int:
         return (i - 1) * step + 1

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import devmatch
 from devmatch import ENGINES, EngineUnsupported, solve
@@ -40,15 +42,41 @@ def expected_error(engine, p, want):
     return None
 
 
-def test_every_engine_agrees_with_the_oracle():
-    """Each engine x objective x regime x budget on 120 seeded draws of n <= 10.
+def check_engine(p, engine, want):
+    """solve(p, engine) against the oracle's optimum want for p's objective and regime.
 
-    A combination either raises the exception solve documents for it, or
-    gives the oracle's feasibility, an optimum-valued outcome when
-    optimizing, a value between the optimum and the budget otherwise, and
-    a matching that passes verify_solution(strict=True).  Only the forced
-    bipartite engine may answer None (restriction not applicable).
+    It either raises the exception solve documents for it, or gives the
+    oracle's feasibility, an optimum-valued outcome when optimizing, a value
+    between the optimum and the budget otherwise, and a matching that
+    passes verify_solution(strict=True).  Only the forced bipartite engine
+    may answer None (restriction not applicable).
     """
+    error = expected_error(engine, p, want)
+    if error is not None:
+        with pytest.raises(error):
+            solve(p, engine)
+        return
+    out = solve(p, engine)
+    if out is None:
+        assert engine == "bipartite"
+        return
+    budget = p.budget
+    assert out.feasible == (want is not None and (budget is None or want <= budget)), (p, engine)
+    if not out.feasible:
+        return
+    if budget is None:
+        assert out.value == want
+    else:
+        assert want <= out.value <= budget
+    assert verify_solution(p, out.matching, out.value, strict=True)
+
+
+def optimum(report, objective):
+    return report.optimum_bp if objective is Objective.BLOCKING_PAIRS else report.optimum_ba
+
+
+def test_every_engine_agrees_with_the_oracle():
+    """Each engine x objective x regime x budget on 120 seeded draws of n <= 10, by check_engine."""
     rng = random.Random(20261018)
     for model, list_cap in DRAWS:
         for seed in range(40):
@@ -60,33 +88,35 @@ def test_every_engine_agrees_with_the_oracle():
             for regime in SizeRegime:
                 report = oracle_solve(problem(inst, deviators, regime=regime))
                 for objective in Objective:
-                    want = (
-                        report.optimum_bp
-                        if objective is Objective.BLOCKING_PAIRS
-                        else report.optimum_ba
-                    )
                     for budget in (None, 0, 1, 2):
                         p = problem(inst, deviators, objective, regime, budget)
                         for engine in ENGINES:
-                            error = expected_error(engine, p, want)
-                            if error is not None:
-                                with pytest.raises(error):
-                                    solve(p, engine)
-                                continue
-                            out = solve(p, engine)
-                            if out is None:
-                                assert engine == "bipartite"
-                                continue
-                            assert out.feasible == (
-                                want is not None and (budget is None or want <= budget)
-                            ), (model, seed, regime, objective, budget, engine)
-                            if not out.feasible:
-                                continue
-                            if budget is None:
-                                assert out.value == want
-                            else:
-                                assert want <= out.value <= budget
-                            assert verify_solution(p, out.matching, out.value, strict=True)
+                            check_engine(p, engine, optimum(report, objective))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    model=st.sampled_from([m for m, _ in DRAWS]),
+    cap=st.integers(1, 4),
+    frac=st.floats(0.2, 0.5),
+    regime=st.sampled_from(SizeRegime),
+    objective=st.sampled_from(Objective),
+    budget=st.sampled_from([None, 0, 1, 2]),
+    engine=st.sampled_from(ENGINES),
+)
+def test_a_drawn_engine_agrees_with_the_oracle(
+    n, seed, model, cap, frac, regime, objective, budget, engine
+):
+    """One engine, regime, objective and budget per drawn problem of n <= 12, by check_engine."""
+    if model is GenModel.PATH_CYCLE_ONLY:
+        cap = min(cap, 2)
+    drawn = generate(GenSpec(n=n, model=model, list_cap=cap, deviator_fraction=frac, seed=seed))
+    assume(len(drawn.deviators) <= 5)
+    p = problem(drawn.instance, drawn.deviators, objective, regime, budget)
+    report = oracle_solve(problem(drawn.instance, drawn.deviators, regime=regime))
+    check_engine(p, engine, optimum(report, objective))
 
 
 def test_unknown_engine_is_refused():

@@ -93,7 +93,7 @@ def check_extensions(p, k):
     target = None if p.size_regime is SizeRegime.ANY else max_cardinality_size(p.instance)
     ball = fpt._ball_around_deviators(p)
     for cfg in enumerate_configurations(p, k):
-        trunc = truncate_and_collect(p, cfg)
+        trunc = truncate_and_collect(p, cfg, fpt._scan(p, cfg.candidate_matching)[0])
         if trunc.rejected:
             continue
         reference = weighted_extension(p, trunc, target)

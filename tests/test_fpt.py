@@ -141,7 +141,7 @@ class TestTruncation:
         cfg = CandidateConfiguration(
             Matching(frozenset({(1, 2)})), frozenset({(1, 2)}), 0
         )
-        res = truncate_and_collect(p, cfg)
+        res = truncate_and_collect(p, cfg, fpt._scan(p, cfg.candidate_matching)[0])
         assert res.rejected
         assert res.reason == "tolerated pair is matched"
         assert res.configuration is cfg
@@ -149,7 +149,7 @@ class TestTruncation:
     def test_collects_and_truncates_preferred_agents(self):
         p = problem(ODD_PATH, {2}, budget=0)
         cfg = CandidateConfiguration(Matching(frozenset({(2, 3)})), frozenset(), 1)
-        res = truncate_and_collect(p, cfg)
+        res = truncate_and_collect(p, cfg, fpt._scan(p, cfg.candidate_matching)[0])
         assert not res.rejected
         assert res.must_match == frozenset({1})
         assert res.cut == {1: 1}
@@ -162,7 +162,7 @@ class TestTruncation:
         cfg = CandidateConfiguration(
             Matching(frozenset({(1, 3), (2, 4)})), frozenset(), 0
         )
-        res = truncate_and_collect(p, cfg)
+        res = truncate_and_collect(p, cfg, fpt._scan(p, cfg.candidate_matching)[0])
         assert res.rejected
         assert res.reason == "matched pair (1, 3) falls to the truncation of 3"
         assert res.must_match == frozenset({3})
@@ -173,7 +173,7 @@ class TestTruncation:
         cfg = CandidateConfiguration(
             Matching(frozenset({(1, 3), (2, 4)})), frozenset({(2, 3)}), 0
         )
-        res = truncate_and_collect(p, cfg)
+        res = truncate_and_collect(p, cfg, fpt._scan(p, cfg.candidate_matching)[0])
         assert not res.rejected
         assert res.must_match == frozenset()
 
@@ -181,8 +181,48 @@ class TestTruncation:
 def test_extension_fails_when_required_agent_cannot_match():
     p = problem(ODD_PATH, {2}, budget=0)
     cfg = CandidateConfiguration(Matching(frozenset({(2, 3)})), frozenset(), 1)
-    res = truncate_and_collect(p, cfg)
+    res = truncate_and_collect(p, cfg, fpt._scan(p, cfg.candidate_matching)[0])
     assert extend_via_weighted_matching(p, res, None) is None
+
+
+def locked_pairs(p, m_c):
+    """The deviator blocking pairs of M_C whose end across from a deviator is matched by M_C."""
+    devs = p.deviators
+    return {
+        (i, j)
+        for i, j in blocking_report(p.instance, m_c, devs).deviator_pairs
+        if (i in devs and m_c.is_matched(j)) or (j in devs and m_c.is_matched(i))
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    frac=st.floats(0.0, 0.5),
+    cap=st.integers(1, 4),
+    model=st.sampled_from([GenModel.SRI_UNIFORM, GenModel.SMI_UNIFORM]),
+    objective=st.sampled_from(Objective),
+)
+def test_scan_agrees_with_the_blocking_report(n, seed, frac, cap, model, objective):
+    """The scan's floor and the truncations that read its triggers, against blocking_report.
+
+    The floor counts the locked pairs (their deviators under ba); under bp,
+    truncation rejects exactly the tolerated sets that leave a locked pair out.
+    """
+    prob = generate(GenSpec(n=n, model=model, list_cap=cap, deviator_fraction=frac, seed=seed))
+    assume(len(prob.deviators) <= 5)
+    p = problem(prob.instance, prob.deviators, objective=objective, budget=1)
+    for m_c in fpt._deviator_matchings(p.instance, sorted(p.deviators)):
+        locked = locked_pairs(p, m_c)
+        if objective is Objective.BLOCKING_AGENTS:
+            locked = {a for pair in locked for a in pair} & p.deviators
+        assert fpt._scan(p, m_c)[1] == len(locked)
+    if objective is Objective.BLOCKING_PAIRS:
+        for cfg in enumerate_configurations(p, 1):
+            m_c = cfg.candidate_matching
+            res = truncate_and_collect(p, cfg, fpt._scan(p, m_c)[0])
+            assert res.rejected == (not locked_pairs(p, m_c) <= cfg.blocked_set)
 
 
 class TestSolveFpt:

@@ -371,6 +371,20 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: k = 100000000000 exceeds the 2 agents")
 
+    @pytest.mark.parametrize("kind, n, extra", [
+        ("complete", 30_000, []),
+        ("minba-complete", 100, ["--k", "100"]),
+    ])
+    def test_reduce_refuses_an_output_above_the_entry_ceiling(self, tmp_path, capsys,
+                                                              kind, n, extra):
+        src = tmp_path / "ring.dsm"
+        src.write_text(fileio.serialize_instance(ordered_cycle(n), frozenset({1})))
+        assert main(["reduce", kind, str(src)] + extra) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: complete lists of ")
+        assert "exceed 4000000 preference-list entries" in captured.err
+
 
 @pytest.mark.parametrize("model", ["sri", "smi", "pathcycle"])
 def test_cli_solve_prints_what_the_library_returns(tmp_path, capsys, model):

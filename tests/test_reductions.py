@@ -17,6 +17,7 @@ from devmatch.core import (
 from devmatch.generators import GenModel, GenSpec, generate
 from devmatch.oracle import enumerate_matchings, oracle_solve
 from devmatch.reductions import (
+    MAX_LIST_ENTRIES,
     MAX_SEARCH_VARS,
     BadArity,
     BadOccurrence,
@@ -24,6 +25,7 @@ from devmatch.reductions import (
     CnfError,
     CnfFormula,
     DuplicateLiteral,
+    OutputTooLarge,
     RegimeUnsupported,
     UnsatisfiedAssignment,
     complete_lists,
@@ -38,6 +40,7 @@ from devmatch.reductions import (
 
 from conftest import (
     induce,
+    ordered_cycle,
     problem,
     random_22e3_formula,
     single_path_composition,
@@ -321,6 +324,13 @@ class TestCompleteLists:
         after = oracle_solve(problem(out.instance, out.deviators)).optimum_bp
         assert (before == 0) == (after == 0)
 
+    def test_output_above_the_entry_ceiling_is_refused(self):
+        assert 2000 * 1999 <= MAX_LIST_ENTRIES < 2001 * 2000
+        with pytest.raises(OutputTooLarge, match="complete lists of 2001 agents"):
+            complete_lists(problem(ordered_cycle(2001), {1}))
+        with pytest.raises(OutputTooLarge):
+            complete_lists(problem(ordered_cycle(30_000), {1}))
+
 
 def test_zero_answers_survive_the_reductions_on_generated_smi():
     """Seeded SMI draws, n <= 4: the perfect-regime zero answer is the any-regime one.
@@ -371,6 +381,12 @@ class TestMinbaComplete:
             minba_complete(inst, 3)
         with pytest.raises(BudgetTooLarge):
             minba_complete(inst, 10**11)
+
+    def test_output_above_the_entry_ceiling_is_refused(self):
+        # (k + 1) * n = 10,100 agents, about 10**8 entries
+        with pytest.raises(OutputTooLarge, match="complete lists of 10100 agents"):
+            minba_complete(ordered_cycle(100), 100)
+        assert minba_complete(ordered_cycle(100), 19).num_agents == 2000
 
     def test_threshold_answers_correspond(self):
         rng = random.Random(7)
