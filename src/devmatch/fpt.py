@@ -32,14 +32,20 @@ pairs depend only on partners that close, and else a component, as
 matching sizes add up.  Under a budget the last part is only decided.
 
 Each part tries budgets 0, 1, 2, ... in turn.  What does not depend on the
-budget (the maximum matching size, extension values) lives in the
-part's _Sweep, which hands itself to each budget's solve_fpt walk as the
-keyword-only _sweep argument; the module keeps no state between calls.
+budget (the maximum matching size, the tolerated pool, the scanned
+candidate matchings, extension values) lives in the part's _Sweep, which
+hands itself to each budget's solve_fpt walk as the keyword-only _sweep
+argument; the module keeps no state between calls.  So each candidate
+matching is built and scanned once per part, later budgets replay the
+kept ones, and a candidate whose floor exceeds the budget is skipped as
+one block, its configurations counted into the index without being built.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from .classic import (
@@ -76,12 +82,14 @@ class CandidateConfiguration:
     blocked_set holds candidate blocking pairs (each containing a deviator,
     disjoint from the matching) under the pair objective, or candidate
     blocking deviators under the agent objective.  index is the position in
-    the deterministic enumeration.
+    the deterministic enumeration.  triggers are the candidate matching's,
+    from _scan, in a search's stream, and None in the plain enumeration.
     """
 
     candidate_matching: Matching
     blocked_set: frozenset
     index: int
+    triggers: list | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -176,7 +184,7 @@ def _tolerable(p: DeviatorProblem) -> list:
     return sorted({(d, r) if d < r else (r, d) for d in p.deviators for r in p.instance.prefs[d]})
 
 
-def enumerate_configurations(p: DeviatorProblem, k: int):
+def enumerate_configurations(p: DeviatorProblem, k: int, *, _sweep: _Sweep | None = None):
     """Yield every candidate configuration for budget k, in a fixed order.
 
     Deviators are processed in ascending id; each picks a partner from its
@@ -187,16 +195,29 @@ def enumerate_configurations(p: DeviatorProblem, k: int):
     canonical deviator pairs (pair objective; sets clashing with the
     matching are skipped) or from the deviators themselves (agent
     objective).
+
+    _sweep is internal: given a part's _Sweep, the candidate matchings come
+    scanned from it, each configuration carries its candidate's triggers,
+    and a candidate whose floor exceeds k yields nothing.  Its
+    configurations still count in the index, so every index is the one the
+    full stream gives.
     """
     by_pairs = p.objective is Objective.BLOCKING_PAIRS
-    pool = _tolerable(p)
+    if _sweep is None:
+        pool = _tolerable(p)
+        scanned = ((m_c, None, 0) for m_c in _deviator_matchings(p.instance, sorted(p.deviators)))
+    else:
+        pool, scanned = _sweep.pool, _sweep.scanned()
     index = 0
-    for m_c in _deviator_matchings(p.instance, sorted(p.deviators)):
+    for m_c, triggers, floor in scanned:
+        # under bp a tolerated set never holds a pair of m_c
+        free = [b for b in pool if b not in m_c.pairs] if by_pairs else pool
+        if floor > k:
+            index += sum(math.comb(len(free), size) for size in range(k + 1))
+            continue
         for size in range(k + 1):
-            for blocked in itertools.combinations(pool, size):
-                if by_pairs and not m_c.pairs.isdisjoint(blocked):
-                    continue
-                yield CandidateConfiguration(m_c, frozenset(blocked), index)
+            for blocked in itertools.combinations(free, size):
+                yield CandidateConfiguration(m_c, frozenset(blocked), index, triggers)
                 index += 1
 
 
@@ -347,18 +368,35 @@ class _Sweep:
 
     search hands the sweep to each budget's solve_fpt walk as its _sweep
     argument.  problem is the part's problem with its budget left out.
-    target is the maximum matching size (None in the any-size regime).
-    values maps a memo key (candidate matching, cut) to the value of its
-    extension, or to None when the extension is rejected.  It depends on
-    the configuration alone, so every budget reuses it.  Only values are
-    kept, not matchings, which in the maximum-cardinality regime span the
-    whole part: an extension is redone only when its value fits the budget,
-    which ends the search.
+    target is the maximum matching size (None in the any-size regime), and
+    pool the tolerated sets' pool.  values maps a memo key (candidate
+    matching, cut) to the value of its extension, or to None when the
+    extension is rejected.  It depends on the configuration alone, so every
+    budget reuses it.  Only values are kept, not matchings, which in the
+    maximum-cardinality regime span the whole part: an extension is redone
+    only when its value fits the budget, which ends the search.
+
+    Each candidate matching is walked and scanned once per sweep: walk is
+    the one _deviator_matchings walk the budgets share, and kept holds its
+    scanned entries (m_c, triggers, floor) while keep is set, which search
+    does whenever another budget follows.  A later budget replays kept and
+    then goes on with walk, so a sweep that is only decided keeps nothing.
     """
 
     problem: DeviatorProblem
     target: int | None
     values: dict = field(default_factory=dict)
+    keep: bool = False
+    kept: list = field(default_factory=list)
+    pool: list = field(init=False)
+    walk: Iterator = field(init=False, repr=False)
+
+    def __post_init__(self):
+        p = self.problem
+        self.pool = _tolerable(p)
+        # a walk over p, not self, so a finished sweep is freed without the cyclic collector
+        matchings = _deviator_matchings(p.instance, sorted(p.deviators))
+        self.walk = ((m_c, *_scan(p, m_c)) for m_c in matchings)
 
     @classmethod
     def of(cls, p: DeviatorProblem) -> "_Sweep":
@@ -367,10 +405,23 @@ class _Sweep:
             target = max_cardinality_size(p.instance)
         return cls(replace(p, budget=None), target)
 
+    def scanned(self):
+        """Every candidate matching's entry: the kept ones, then the rest of the shared walk."""
+        yield from self.kept
+        # A loop, not yield from: closing an abandoned stream must not close the walk.
+        for entry in self.walk:
+            if self.keep:
+                self.kept.append(entry)
+            yield entry
+
     def search(self, budgets) -> SolveOutcome | None:
         """The outcome at the first of budgets that works, or None; each walk gets this sweep."""
-        outs = (solve_fpt(replace(self.problem, budget=k), _sweep=self) for k in budgets)
-        return next((out for out in outs if out.feasible), None)
+        for t, k in enumerate(budgets, start=1):
+            self.keep = t < len(budgets)
+            out = solve_fpt(replace(self.problem, budget=k), _sweep=self)
+            if out.feasible:
+                return out
+        return None
 
 
 def _note(p: DeviatorProblem, index: int | str | None = None) -> str:
@@ -393,17 +444,11 @@ def solve_fpt(p: DeviatorProblem, *, _sweep: _Sweep | None = None) -> SolveOutco
         return _solve_in_parts(p)
     sweep, k = _sweep, p.budget
 
-    m_c = None
-    for cfg in enumerate_configurations(p, k):
-        # the stream yields each candidate matching's configurations together
-        if cfg.candidate_matching is not m_c:
-            m_c = cfg.candidate_matching
-            triggers, floor = _scan(p, m_c)
-        if floor > k:
-            continue
-        trunc = truncate_and_collect(p, cfg, triggers)
+    for cfg in enumerate_configurations(p, k, _sweep=sweep):
+        trunc = truncate_and_collect(p, cfg, cfg.triggers)
         if trunc.rejected:
             continue
+        m_c = cfg.candidate_matching
         # A key met before, under this budget or a smaller one, is skipped
         # unless its value now fits: its extension would come out the same.
         key = (m_c.pairs, tuple(sorted(trunc.cut.items())))
@@ -433,8 +478,8 @@ def optimize_fpt(p: DeviatorProblem) -> SolveOutcome:
     the any-size and maximum-cardinality regimes.  The perfect regime raises
     PerfectInfeasible when the instance has no perfect matching at all.
     Each part's budgets share that part's _Sweep, passed to every walk, so
-    an extension that failed a smaller budget is not redone unless its
-    value fits.
+    no candidate matching is scanned twice, and an extension that failed a
+    smaller budget is not redone unless its value fits.
     """
     if p.budget is not None:
         raise ValueError("optimize_fpt expects no budget")
@@ -459,6 +504,7 @@ def _parts(p: DeviatorProblem) -> tuple[list[tuple[_Sweep, list[int]]], list[int
 
     A part's agents are a deviator group's ball in the any-size regime, else
     a component with deviators; the idle agents are in the other components.
+    Acceptability is symmetric, so a walk along the lists finds a component.
     """
     inst, devs, idle = p.instance, p.deviators, []
     if p.size_regime is SizeRegime.ANY:
@@ -467,16 +513,23 @@ def _parts(p: DeviatorProblem) -> tuple[list[tuple[_Sweep, list[int]]], list[int
             balls.setdefault(g, []).append(a)
         units = [balls[g] for g in sorted(balls)]
     else:
-        parent = list(range(inst.num_agents + 1))
-        for i in inst.agents():
-            for j in inst.prefs[i]:
-                _union(parent, i, j)
+        # label each component by its least agent, in one sweep over the lists
+        label = [0] * (inst.num_agents + 1)
+        for a in inst.agents():
+            if label[a]:
+                continue
+            label[a], stack = a, [a]
+            while stack:
+                for j in inst.prefs[stack.pop()]:
+                    if not label[j]:
+                        label[j] = a
+                        stack.append(j)
         comps: dict[int, list[int]] = {}
         for a in inst.agents():
-            comps.setdefault(_find(parent, a), []).append(a)
-        roots = dict.fromkeys(_find(parent, d) for d in sorted(devs))
+            comps.setdefault(label[a], []).append(a)
+        roots = dict.fromkeys(label[d] for d in sorted(devs))
         units = [comps[r] for r in roots]
-        idle = sorted(a for r, c in comps.items() if r not in roots for a in c)
+        idle = [a for a in inst.agents() if label[a] not in roots]
     return [(_Sweep.of(replace(p, instance=_restrict(inst, c),
                                deviators={i for i, a in enumerate(c, 1) if a in devs})), c)
             for c in units], idle
@@ -500,7 +553,7 @@ def _solve_in_parts(p: DeviatorProblem) -> SolveOutcome:
     total, indices = 0, []
     for t, (sweep, ids) in enumerate(sweeps, start=1):
         # no value exceeds the pool's size, so no larger budget is tried
-        limit = len(_tolerable(sweep.problem))
+        limit = len(sweep.pool)
         if p.budget is not None:
             limit = min(limit, p.budget - total)
         decide = p.budget is not None and t == len(sweeps)

@@ -225,6 +225,54 @@ def test_scan_agrees_with_the_blocking_report(n, seed, frac, cap, model, objecti
             assert res.rejected == (not locked_pairs(p, m_c) <= cfg.blocked_set)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    frac=st.floats(0.0, 0.5),
+    cap=st.integers(1, 4),
+    model=st.sampled_from([GenModel.SRI_UNIFORM, GenModel.SMI_UNIFORM]),
+    objective=st.sampled_from(Objective),
+    regime=st.sampled_from(SizeRegime),
+    early=st.integers(0, 2),
+    stop=st.integers(0, 30),
+)
+def test_sweep_walks_are_the_floor_filtered_stream(
+    n, seed, frac, cap, model, objective, regime, early, stop
+):
+    """Budgets 0, 1, 2 walked in order on one sweep, as optimize walks them.
+
+    The walk at budget early stops after stop configurations.  Each walk
+    yields the full stream less every configuration of a candidate matching
+    whose floor exceeds the budget, index for index, each with its
+    candidate's triggers.  A sweep that is only decided keeps no entries.
+    """
+    prob = generate(GenSpec(n=n, model=model, list_cap=cap, deviator_fraction=frac, seed=seed))
+    assume(len(prob.deviators) <= 5)
+    p = problem(prob.instance, prob.deviators, objective, regime)
+    sweep = fpt._Sweep.of(p)
+    for k in (0, 1, 2):
+        want = []
+        for c in enumerate_configurations(p, k):
+            m_c = c.candidate_matching
+            triggers, floor = fpt._scan(p, m_c)
+            if floor <= k:
+                want.append((m_c.pairs, c.blocked_set, c.index, triggers))
+        sweep.keep = k < 2
+        stream = enumerate_configurations(p, k, _sweep=sweep)
+        if k == early:
+            got = list(itertools.islice(stream, stop))
+            stream.close()
+            want = want[:stop]
+        else:
+            got = list(stream)
+        assert [(c.candidate_matching.pairs, c.blocked_set, c.index, c.triggers)
+                for c in got] == want
+    decided = fpt._Sweep.of(p)
+    decided.search((1,))
+    assert decided.kept == []
+
+
 class TestSolveFpt:
     def test_requires_budget(self):
         with pytest.raises(ValueError):
