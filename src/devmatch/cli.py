@@ -11,6 +11,7 @@ to exit codes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -45,7 +46,9 @@ def _budget(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The devmatch parser, built once per process: parse_args never mutates it."""
     parser = argparse.ArgumentParser(prog="devmatch")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -154,25 +154,35 @@ def validate_instance(instance: Instance) -> None:
     Raises SelfRank, DuplicateEntry, AsymmetricAcceptability, or
     SidedPairViolation.  A validated instance has no agent ranking itself,
     no repeated entries, symmetric acceptability, and (when sided) only
-    cross-side acceptable pairs.
+    cross-side acceptable pairs.  Self-ranks and duplicates are checked
+    agent by agent in ascending order, then acceptability at the first
+    agent i ascending and the first j on i's list, then the sides.
+
+    The checks read one set per list and build no rank table, so
+    instance.ranks stays empty for the solver to fill.
     """
+    prefs = instance.prefs
+    accepts = [frozenset()]
     for i in instance.agents():
-        lst = instance.prefs[i]
-        if i in lst:
+        lst = prefs[i]
+        members = frozenset(lst)
+        if i in members:
             raise SelfRank(f"agent {i} ranks itself")
-        if len(set(lst)) != len(lst):
+        if len(members) != len(lst):
             raise DuplicateEntry(f"agent {i} lists a partner twice")
-    ranks = instance.ranks
+        accepts.append(members)
     for i in instance.agents():
-        for j in instance.prefs[i]:
-            if i not in ranks[j]:
+        for j in prefs[i]:
+            if i not in accepts[j]:
                 raise AsymmetricAcceptability(i, j)
-    if instance.sides is not None:
+    sides = instance.sides
+    if sides is not None:
         for i in instance.agents():
-            for j in instance.prefs[i]:
-                if instance.sides[i] == instance.sides[j]:
+            side = sides[i]
+            for j in prefs[i]:
+                if sides[j] == side:
                     raise SidedPairViolation(
-                        f"agents {i} and {j} are acceptable but share side {instance.sides[i]}"
+                        f"agents {i} and {j} are acceptable but share side {side}"
                     )
 
 

@@ -43,7 +43,12 @@ def _int(tok: str, lineno: int) -> int:
 
 
 def parse_instance(text: str) -> tuple[Instance, frozenset[int]]:
-    """Parse instance text into (validated instance, deviator set)."""
+    """Parse instance text into (validated instance, deviator set).
+
+    Grammar errors are fileio.SyntaxError at their line; the semantic
+    checks are validate_instance's, which builds no rank table, so the
+    returned instance.ranks is empty until a solver reads it.
+    """
     lines = list(_tokens(text))
     if not lines:
         raise SyntaxError(1, "empty input")
@@ -86,7 +91,6 @@ def parse_instance(text: str) -> tuple[Instance, frozenset[int]]:
     if len(lines) - pos < n:
         raise SyntaxError(lines[-1][0], f"expected {n} prefs lines, found {len(lines) - pos}")
     prefs: list[tuple[int, ...] | None] = [None] * (n + 1)
-    pref_line: dict[int, int] = {}
     for lineno, toks in lines[pos:]:
         if toks[0] != "prefs" or len(toks) < 2 or not toks[1].endswith(":"):
             raise SyntaxError(lineno, "expected 'prefs <id>: <id>*'")
@@ -95,12 +99,14 @@ def parse_instance(text: str) -> tuple[Instance, frozenset[int]]:
             raise SyntaxError(lineno, f"agent id {agent} out of range 1..{n}")
         if prefs[agent] is not None:
             raise SyntaxError(lineno, f"duplicate prefs line for agent {agent}")
-        entries = [_int(t, lineno) for t in toks[2:]]
+        try:
+            entries = tuple(map(int, toks[2:]))
+        except ValueError:  # _int names the line and the first bad token
+            entries = tuple(_int(t, lineno) for t in toks[2:])
         for e in entries:
             if not 1 <= e <= n:
                 raise SyntaxError(lineno, f"ranked id {e} out of range 1..{n}")
-        prefs[agent] = tuple(entries)
-        pref_line[agent] = lineno
+        prefs[agent] = entries
     missing = [i for i in range(1, n + 1) if prefs[i] is None]
     if missing:
         last = lines[-1][0]

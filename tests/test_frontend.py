@@ -6,7 +6,17 @@ from hypothesis import strategies as st
 
 from devmatch import fileio, solve
 from devmatch.cli import main
-from devmatch.core import DeviatorProblem, Instance, Matching, Objective, SizeRegime
+from devmatch.core import (
+    AsymmetricAcceptability,
+    DeviatorProblem,
+    DuplicateEntry,
+    Instance,
+    Matching,
+    Objective,
+    SelfRank,
+    SidedPairViolation,
+    SizeRegime,
+)
 from devmatch.generators import GenSpec, GenModel, generate
 from devmatch.reductions import CnfFormula, sat_to_perfect_smi
 
@@ -441,3 +451,262 @@ def test_verify_without_value_scans_once(tmp_path, capsys, monkeypatch, regime):
                  "--regime", regime]) == 0
     assert capsys.readouterr().out == f"ok value {value}\n"
     assert len(scans) == 1
+
+
+def reference_validate_instance(instance):
+    """validate_instance as it was, reading every agent's rank table.
+
+    Kept here as the reference for the set-based checks.
+    """
+    for i in instance.agents():
+        lst = instance.prefs[i]
+        if i in lst:
+            raise SelfRank(f"agent {i} ranks itself")
+        if len(set(lst)) != len(lst):
+            raise DuplicateEntry(f"agent {i} lists a partner twice")
+    ranks = instance.ranks
+    for i in instance.agents():
+        for j in instance.prefs[i]:
+            if i not in ranks[j]:
+                raise AsymmetricAcceptability(i, j)
+    if instance.sides is not None:
+        for i in instance.agents():
+            for j in instance.prefs[i]:
+                if instance.sides[i] == instance.sides[j]:
+                    raise SidedPairViolation(
+                        f"agents {i} and {j} are acceptable but share side {instance.sides[i]}"
+                    )
+
+
+def reference_parse_instance(text):
+    """parse_instance as it was: _int per prefs entry, then the reference validation."""
+    lines = list(fileio._tokens(text))
+    if not lines:
+        raise fileio.SyntaxError(1, "empty input")
+    pos = 0
+
+    lineno, toks = lines[pos]
+    if toks != ["dsm", "1"]:
+        raise fileio.SyntaxError(lineno, "expected header 'dsm 1'")
+    pos += 1
+
+    if pos >= len(lines):
+        raise fileio.SyntaxError(lineno, "missing 'agents' line")
+    lineno, toks = lines[pos]
+    if len(toks) != 2 or toks[0] != "agents":
+        raise fileio.SyntaxError(lineno, "expected 'agents <n>'")
+    n = fileio._int(toks[1], lineno)
+    if n < 0:
+        raise fileio.SyntaxError(lineno, "agent count must be non-negative")
+    pos += 1
+
+    deviators = frozenset()
+    if pos < len(lines) and lines[pos][1][0] == "deviators":
+        lineno, toks = lines[pos]
+        ids = [fileio._int(t, lineno) for t in toks[1:]]
+        for i in ids:
+            if not 1 <= i <= n:
+                raise fileio.SyntaxError(lineno, f"deviator id {i} out of range 1..{n}")
+        deviators = frozenset(ids)
+        pos += 1
+
+    sides = None
+    if pos < len(lines) and lines[pos][1][0] == "sides":
+        lineno, toks = lines[pos]
+        if len(toks) != 2 or len(toks[1]) != n or set(toks[1]) - {"0", "1"}:
+            raise fileio.SyntaxError(lineno, f"expected 'sides' with {n} characters of 0/1")
+        sides = tuple(int(ch) for ch in toks[1])
+        pos += 1
+
+    if len(lines) - pos < n:
+        raise fileio.SyntaxError(
+            lines[-1][0], f"expected {n} prefs lines, found {len(lines) - pos}"
+        )
+    prefs = [None] * (n + 1)
+    for lineno, toks in lines[pos:]:
+        if toks[0] != "prefs" or len(toks) < 2 or not toks[1].endswith(":"):
+            raise fileio.SyntaxError(lineno, "expected 'prefs <id>: <id>*'")
+        agent = fileio._int(toks[1][:-1], lineno)
+        if not 1 <= agent <= n:
+            raise fileio.SyntaxError(lineno, f"agent id {agent} out of range 1..{n}")
+        if prefs[agent] is not None:
+            raise fileio.SyntaxError(lineno, f"duplicate prefs line for agent {agent}")
+        entries = [fileio._int(t, lineno) for t in toks[2:]]
+        for e in entries:
+            if not 1 <= e <= n:
+                raise fileio.SyntaxError(lineno, f"ranked id {e} out of range 1..{n}")
+        prefs[agent] = tuple(entries)
+    missing = [i for i in range(1, n + 1) if prefs[i] is None]
+    if missing:
+        raise fileio.SyntaxError(lines[-1][0], f"missing prefs line for agent {missing[0]}")
+
+    instance = Instance(n, ((),) + tuple(prefs[1:]), sides)
+    reference_validate_instance(instance)
+    return instance, deviators
+
+
+CORRUPTIONS = (
+    "bad int", "out of range", "one-sided entry", "self rank", "duplicate entry",
+    "dropped back-entry", "duplicate line", "missing line", "same side",
+)
+
+
+def corrupt(lines, kind, n, draw):
+    """Apply one corruption of the named kind to one line of an instance file.
+
+    The entry kinds touch one to three tokens of a prefs line, so the order
+    in which a line's errors are reported shows.
+    """
+    first = next(i for i, line in enumerate(lines) if line.startswith("prefs "))
+    row = draw(st.integers(first, len(lines) - 1))
+    if kind == "duplicate line":
+        lines.insert(draw(st.integers(first, len(lines))), lines[row])
+        return
+    if kind == "missing line":
+        del lines[row]
+        return
+    if kind == "same side":
+        sides_row = next((i for i, line in enumerate(lines) if line.startswith("sides ")), None)
+        if sides_row is None:
+            bits = "".join(draw(st.sampled_from("01")) for _ in range(n))
+            lines.insert(first, f"sides {bits}")
+        else:
+            bits = list(lines[sides_row].split()[1])
+            flip = draw(st.integers(0, n - 1))
+            bits[flip] = "1" if bits[flip] == "0" else "0"
+            lines[sides_row] = "sides " + "".join(bits)
+        return
+    toks = lines[row].split()
+    head, entries = toks[:2], toks[2:]
+    for _ in range(draw(st.integers(1, 3))):
+        if kind == "bad int":
+            token = draw(st.sampled_from(["x", "1.5", "0x3", "--2", "٣x"]))
+            at = draw(st.integers(-1, len(entries)))  # -1: the agent token
+            if at < 0:
+                head[1] = token + ":"
+            else:
+                entries.insert(at, token)
+            continue
+        at = draw(st.integers(0, len(entries)))
+        if kind == "out of range":
+            entries.insert(at, str(draw(st.sampled_from([0, -1, n + 1, n + 7]))))
+        elif kind == "one-sided entry":
+            entries.insert(at, str(draw(st.integers(1, n))))
+        elif kind == "self rank":
+            entries.insert(at, head[1][:-1])
+        elif kind == "duplicate entry" and entries:
+            entries.insert(at, draw(st.sampled_from(entries)))
+        elif kind == "dropped back-entry" and entries:
+            del entries[min(at, len(entries) - 1)]
+    lines[row] = " ".join(head + entries)
+
+
+def outcome(parse, text):
+    """What parse does with text: its result, or the error's class, message and line."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 16),
+    model=st.sampled_from(GenModel),
+    kinds=st.lists(st.sampled_from(CORRUPTIONS), max_size=2),
+    shuffled=st.booleans(),
+    data=st.data(),
+)
+def test_parse_instance_matches_the_reference(seed, n, model, kinds, shuffled, data):
+    """Clean and corrupted files parse to the same instance, or fail the same way."""
+    cap = 2 if model is GenModel.PATH_CYCLE_ONLY else 3
+    p = generate(GenSpec(n=n, model=model, list_cap=cap, deviator_fraction=0.3, seed=seed))
+    lines = fileio.serialize_instance(p.instance, p.deviators).splitlines()
+    if shuffled:
+        first = next(i for i, line in enumerate(lines) if line.startswith("prefs "))
+        lines[first:] = data.draw(st.permutations(lines[first:]))
+    for kind in kinds:
+        corrupt(lines, kind, n, data.draw)
+    text = "\n".join(lines) + "\n"
+    got, want = outcome(fileio.parse_instance, text), outcome(reference_parse_instance, text)
+    assert got == want, text
+    if not kinds:
+        assert got == (p.instance, p.deviators)
+
+
+def test_parsing_builds_no_rank_table():
+    p = generate(GenSpec(n=200, list_cap=4, deviator_fraction=0.1, seed=3))
+    inst, _ = fileio.parse_instance(fileio.serialize_instance(p.instance, p.deviators))
+    assert len(inst.ranks) == 0
+
+
+@pytest.mark.parametrize("engine", ["fpt", "bipartite"])
+@pytest.mark.parametrize("objective", ["bp", "ba"])
+@pytest.mark.parametrize("flags", [["--k", "0"], ["--optimize"]])
+def test_cli_any_regime_solve_reads_only_lists_near_the_deviators(
+    tmp_path, capsys, monkeypatch, engine, objective, flags
+):
+    """A CLI solve reads no rank table past distance two from a deviator.
+
+    The file is a 2,000-agent path with the deviators at one end.  auto
+    would send it to the shortlist solver, which covers every agent, so the
+    test names the local engines.
+    """
+    n = 2000
+    prefs = [()] + [tuple(j for j in (i - 1, i + 1) if 1 <= j <= n) for i in range(1, n + 1)]
+    path = tmp_path / "path.dsm"
+    path.write_text(fileio.serialize_instance(Instance(n, tuple(prefs)), frozenset({1, 2, 3})))
+    parsed = []
+    parse = fileio.parse_instance
+
+    def captured(text):
+        result = parse(text)
+        parsed.append(result[0])
+        return result
+
+    monkeypatch.setattr(fileio, "parse_instance", captured)
+    assert main(["solve", str(path), "--regime", "any", "--objective", objective,
+                 "--engine", engine, *flags]) == 0
+    note = "bipartite-restriction" if engine == "bipartite" else f"fpt-{objective}-any#0"
+    assert capsys.readouterr().out.splitlines()[-2:] == ["value 0", f"algorithm {note}"]
+    [inst] = parsed
+    assert set(inst.ranks) <= set(range(1, 6))
+
+
+def test_the_parser_is_built_once():
+    from devmatch import cli
+
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_a_cached_parser_answers_each_call_as_a_fresh_one(tmp_path, capsys):
+    """A sequence of calls on one parser prints what each call prints when made first."""
+    from devmatch import cli
+
+    p = generate(GenSpec(n=30, list_cap=4, deviator_fraction=0.3, seed=11))
+    inst = tmp_path / "inst.dsm"
+    inst.write_text(fileio.serialize_instance(p.instance, p.deviators))
+    out = str(tmp_path / "m.txt")
+    calls = [
+        ["solve", str(inst), "--k", "0"],
+        ["solve", str(inst), "--optimize", "--out", out],
+        ["verify", str(inst), "--matching", out],
+        ["solve", str(inst), "--k", "x"],
+        ["solve", str(inst), "--k", "0"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        first.append(run(argv))
+    assert [code for code, _, _ in first] == [first[0][0], 0, 0, 2, first[0][0]]
+    assert [run(argv) for argv in calls] == first
