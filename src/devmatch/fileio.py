@@ -107,10 +107,7 @@ def parse_instance(text: str) -> tuple[Instance, frozenset[int]]:
             if not 1 <= e <= n:
                 raise SyntaxError(lineno, f"ranked id {e} out of range 1..{n}")
         prefs[agent] = entries
-    missing = [i for i in range(1, n + 1) if prefs[i] is None]
-    if missing:
-        last = lines[-1][0]
-        raise SyntaxError(last, f"missing prefs line for agent {missing[0]}")
+    # at least n lines, each naming a distinct agent in 1..n: every agent has one
 
     instance = Instance(n, ((),) + tuple(prefs[1:]), sides)
     validate_instance(instance)

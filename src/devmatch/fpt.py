@@ -21,15 +21,16 @@ candidate matching (_scan) gives its floor and the triggers every truncation
 reads, the cut is a dict rather than a copy of the instance, and values come
 from core.blocking_report's deviator view.  The solver touches no preference
 list of agents at acceptability-distance three or more from the deviator
-set; the lazy Instance.ranks, which holds a table for every agent whose list
-was read, lets tests check exactly that.
+set, and builds rank tables only of the parts' sub-instances; the tests
+check that by recording every read of Instance.prefs.
 
 Both entry points search independent parts one by one and add up their
 optima, exactly: a blocking pair is an edge, so both objectives add up over
-parts no edge joins.  A part is a sub-instance relabelled in ascending id:
-a deviator group's distance-two ball in the any-size regime, where blocking
-pairs depend only on partners that close, and else a component, as
-matching sizes add up.  Under a budget the last part is only decided.
+parts no edge joins.  A part is a sub-instance relabelled in ascending id,
+found by one walk from the deviators: a deviator group's distance-two ball
+in the any-size regime, where blocking pairs depend only on partners that
+close, and else a component, as matching sizes add up.  Under a budget the
+last part is only decided.
 
 Each part tries budgets 0, 1, 2, ... in turn.  What does not depend on the
 budget (the maximum matching size, the tolerated pool, the scanned
@@ -100,14 +101,13 @@ class TruncationResult:
     deviator that prefers it to its assigned partner (its pair/agent not
     tolerated).  The agent's list is read as prefs[agent][:cut[agent] - 1],
     the entries strictly better than that deviator; agents absent from cut
-    keep their whole list.  The instance itself is never copied.
-    must_match is the set of cut agents.  rejected is set when the
-    configuration is self-contradictory, with reason saying why; a rejected
-    cut holds the triggers folded in up to the one that rejected it.
+    keep their whole list.  The instance itself is never copied.  rejected
+    is set when the configuration is self-contradictory, with reason saying
+    why; a rejected cut holds the triggers folded in up to the one that
+    rejected it.
     """
 
     cut: dict[int, int]
-    must_match: frozenset[int]
     rejected: bool
     reason: str | None = None
     configuration: CandidateConfiguration | None = None
@@ -262,7 +262,7 @@ def truncate_and_collect(
     by_pairs = p.objective is Objective.BLOCKING_PAIRS
 
     if by_pairs and not blocked.isdisjoint(m_c.pairs):
-        return TruncationResult({}, frozenset(), True, "tolerated pair is matched", cfg)
+        return TruncationResult({}, True, "tolerated pair is matched", cfg)
 
     cut: dict[int, int] = {}
     for d, r, back, breaks in triggers:
@@ -273,46 +273,8 @@ def truncate_and_collect(
         if breaks:
             i, j = sorted((r, m_c.partner_of(r)))
             reason = f"matched pair ({i}, {j}) falls to the truncation of {r}"
-            return TruncationResult(cut, frozenset(cut), True, reason, cfg)
-    return TruncationResult(cut, frozenset(cut), False, None, cfg)
-
-
-def _find(parent, a: int) -> int:
-    while parent[a] != a:
-        parent[a] = parent[parent[a]]
-        a = parent[a]
-    return a
-
-
-def _union(parent, a: int, b: int) -> None:
-    a, b = sorted((_find(parent, a), _find(parent, b)))
-    parent[b] = a
-
-
-def _ball_around_deviators(p: DeviatorProblem) -> dict[int, int]:
-    """Agents within distance two of the deviators, each with its group's least deviator.
-
-    Deviators whose balls overlap, directly or in a chain, share a group: each
-    edge walked joins the groups of its two ends.
-    """
-    inst = p.instance
-    level0 = sorted(p.deviators)
-    near = {d: d for d in level0}  # a union-find forest whose roots are deviators
-    level1: list[int] = []
-    for d in level0:
-        for j in inst.prefs[d]:
-            if j in near:
-                _union(near, d, j)
-            elif d in inst.ranks[j]:
-                near[j] = d
-                level1.append(j)
-    for v in level1:
-        for j in inst.prefs[v]:
-            if j in near:
-                _union(near, v, j)
-            elif v in inst.ranks[j]:
-                near[j] = v
-    return {a: _find(near, a) for a in near}
+            return TruncationResult(cut, True, reason, cfg)
+    return TruncationResult(cut, False, None, cfg)
 
 
 def extend_via_weighted_matching(
@@ -323,26 +285,24 @@ def extend_via_weighted_matching(
     Lists are read through trunc.cut: agent i keeps prefs[i][:cut[i] - 1],
     and j still accepts i when i ranks above cut.get(j, infinity) on j's
     list.  The graph is on the agents of p's part, already numbered 1..n;
-    those the candidate matching covers get no edges.  classic.covering_matching
-    grows a tree from each exposed must-match agent of Q first, and with a
-    target size (maximum-cardinality and perfect regimes) then augments
-    from every other exposed agent, so the augmenting order does what the
-    weights n + |e ∩ Q| (|e ∩ Q| without a target) of a weighted matching
-    used to: maximum cardinality first, Q covered second.  The result is
-    rejected unless all of Q is matched and the combined size reaches the
-    target.  Returns the extension matching alone; None means reject.  The
-    function keeps the name of the weighted version it replaced, under
-    which perfbench's tracer probes it.
+    those the candidate matching covers get no edges.  The must-match set Q
+    is the cut's agents.  classic.covering_matching grows a tree from each
+    exposed agent of Q first, and with a target size (maximum-cardinality
+    and perfect regimes) then augments from every other exposed agent, so
+    the augmenting order does what the weights n + |e ∩ Q| (|e ∩ Q| without
+    a target) of a weighted matching used to: maximum cardinality first, Q
+    covered second.  The result is rejected unless all of Q is matched and
+    the combined size reaches the target.  Returns the extension matching
+    alone; None means reject.  The function keeps the name of the weighted
+    version it replaced, under which perfbench's tracer probes it.
     """
     inst = p.instance
     cut = trunc.cut
     m_c = trunc.configuration.candidate_matching
     matched = m_c.matched_agents()
-    q = trunc.must_match
-
-    for r in q:
-        if r not in matched and cut[r] == 1:
-            return None
+    must = [r for r in sorted(cut) if r not in matched]
+    if any(cut[r] == 1 for r in must):
+        return None
 
     adj = [()]
     for i in inst.agents():
@@ -352,7 +312,6 @@ def extend_via_weighted_matching(
             j for j in (own if stop is None else own[: stop - 1])
             if j not in matched and inst.ranks[j].get(i, _UNRANKED) < cut.get(j, _UNRANKED)
         ])
-    must = [r for r in sorted(q) if r not in matched]
     mate = covering_matching(adj, must, target_size is not None)
     if mate is None:
         return None
@@ -502,37 +461,41 @@ def _restrict(inst: Instance, agents: list[int]) -> Instance:
 def _parts(p: DeviatorProblem) -> tuple[list[tuple[_Sweep, list[int]]], list[int]]:
     """The sweeps of p's parts with their agents, and the idle agents, all ascending.
 
-    A part's agents are a deviator group's ball in the any-size regime, else
-    a component with deviators; the idle agents are in the other components.
-    Acceptability is symmetric, so a walk along the lists finds a component.
+    One walk along the lists starts from each unreached deviator in ascending
+    id and labels what it reaches with that deviator, so parts come in order
+    of least deviator; acceptability is symmetric, so it finds components.
+    In the any-size regime it follows only edges with an end in near, the
+    deviators and their neighbours: each lies in one deviator's distance-two
+    ball, so a part is a chain of overlapping balls.  Both ends count, as two
+    balls may meet at an agent outside near.  Elsewhere every agent is near,
+    so a part is a component with deviators and the idle agents are the
+    unreached ones.
     """
-    inst, devs, idle = p.instance, p.deviators, []
-    if p.size_regime is SizeRegime.ANY:
-        balls: dict[int, list[int]] = {}
-        for a, g in sorted(_ball_around_deviators(p).items()):
-            balls.setdefault(g, []).append(a)
-        units = [balls[g] for g in sorted(balls)]
-    else:
-        # label each component by its least agent, in one sweep over the lists
-        label = [0] * (inst.num_agents + 1)
-        for a in inst.agents():
-            if label[a]:
-                continue
-            label[a], stack = a, [a]
-            while stack:
-                for j in inst.prefs[stack.pop()]:
-                    if not label[j]:
-                        label[j] = a
-                        stack.append(j)
-        comps: dict[int, list[int]] = {}
-        for a in inst.agents():
-            comps.setdefault(label[a], []).append(a)
-        roots = dict.fromkeys(label[d] for d in sorted(devs))
-        units = [comps[r] for r in roots]
-        idle = [a for a in inst.agents() if label[a] not in roots]
+    inst, devs = p.instance, p.deviators
+    local = p.size_regime is SizeRegime.ANY
+    near = devs.union(*(inst.prefs[d] for d in devs)) if local else inst.agents()
+    label, reached = [0] * (inst.num_agents + 1), []
+    for d in sorted(devs):
+        if label[d]:
+            continue
+        label[d], stack = d, [d]
+        while stack:
+            v = stack.pop()
+            reached.append(v)
+            for j in inst.prefs[v]:
+                if not label[j] and (v in near or j in near):
+                    label[j] = d
+                    stack.append(j)
+    parts: dict[int, list[int]] = {d: [] for d in sorted(devs) if label[d] == d}
+    idle = []
+    for a in sorted(reached) if local else inst.agents():
+        if label[a]:
+            parts[label[a]].append(a)
+        else:
+            idle.append(a)
     return [(_Sweep.of(replace(p, instance=_restrict(inst, c),
                                deviators={i for i, a in enumerate(c, 1) if a in devs})), c)
-            for c in units], idle
+            for c in parts.values()], idle
 
 
 def _solve_in_parts(p: DeviatorProblem) -> SolveOutcome:

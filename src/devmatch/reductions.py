@@ -115,7 +115,9 @@ def parse_cnf_22e3(text: str) -> CnfFormula:
             continue
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[1] != "cnf" or not all(
+                t.isdecimal() for t in parts[2:]
+            ):
                 raise CnfError(f"bad problem line: {line!r}")
             num_vars, num_clauses = int(parts[2]), int(parts[3])
             continue

@@ -75,6 +75,43 @@ def random_matching(inst: Instance, seed: int) -> Matching:
     return Matching(frozenset(taken))
 
 
+class _ReadRecorder(tuple):
+    """A prefs tuple that records whose lists are read into its read set.
+
+    An index records that agent; a slice or an iteration records every
+    index it covers, so no Python-level read goes unseen.
+    """
+
+    def __getitem__(self, key):
+        self.read.update(range(len(self))[key] if isinstance(key, slice) else (key,))
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        self.read.update(range(len(self)))
+        return super().__iter__()
+
+
+def record_list_reads(inst: Instance) -> set:
+    """Swap inst's prefs for a recording copy; return the set of agents whose lists get read.
+
+    Swap before inst.ranks is first used, so its tables' reads are recorded too.
+    """
+    prefs = _ReadRecorder(inst.prefs)
+    prefs.read = set()
+    object.__setattr__(inst, "prefs", prefs)
+    return prefs.read
+
+
+def beyond_distance_two(inst: Instance, deviators) -> set:
+    """The agents at acceptability-distance three or more from the deviators, or unreachable."""
+    seen = set(deviators)
+    frontier = list(seen)
+    for _ in range(2):
+        frontier = [j for v in frontier for j in inst.prefs[v] if j not in seen]
+        seen.update(frontier)
+    return set(inst.agents()) - seen
+
+
 def relabel_instance(inst: Instance, perm: dict) -> Instance:
     """Apply an agent permutation {old: new} to an instance."""
     n = inst.num_agents

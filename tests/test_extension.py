@@ -18,6 +18,11 @@ from devmatch.generators import GenModel, GenSpec, generate
 _UNRANKED = 1 << 30
 
 
+def ball(p):
+    """The agents of p's parts: those within distance two of a deviator in the any-size regime."""
+    return {a for _, ids in fpt._parts(p)[0] for a in ids}
+
+
 def weighted_extension(p, trunc, target_size):
     """The extension as one networkx weighted matching, weights n + |e ∩ Q|.
 
@@ -30,13 +35,13 @@ def weighted_extension(p, trunc, target_size):
     cut = trunc.cut
     m_c = trunc.configuration.candidate_matching
     matched = m_c.matched_agents()
-    q = trunc.must_match
+    q = trunc.cut.keys()
     for r in q:
         if r not in matched and cut[r] == 1:
             return None
     if target_size is None:
         base = 0
-        vertices = sorted(v for v in fpt._ball_around_deviators(p) if v not in matched)
+        vertices = sorted(v for v in ball(p) if v not in matched)
     else:
         base = n
         vertices = [v for v in inst.agents() if v not in matched]
@@ -91,7 +96,7 @@ def test_native_extension_agrees_with_the_weighted_one(seed, n, cap, model, obje
 
 def check_extensions(p, k):
     target = None if p.size_regime is SizeRegime.ANY else max_cardinality_size(p.instance)
-    ball = fpt._ball_around_deviators(p)
+    near = ball(p)
     for cfg in enumerate_configurations(p, k):
         trunc = truncate_and_collect(p, cfg, fpt._scan(p, cfg.candidate_matching)[0])
         if trunc.rejected:
@@ -106,9 +111,9 @@ def check_extensions(p, k):
         assert len(native.matched_agents()) == 2 * len(native.pairs)
         assert not native.matched_agents() & taken
         assert all(survives_cut(p, trunc, i, j) for i, j in native.pairs)
-        assert all(native.is_matched(r) for r in trunc.must_match - taken)
+        assert all(native.is_matched(r) for r in trunc.cut.keys() - taken)
         if target is None:
-            assert native.matched_agents() <= ball.keys()
+            assert native.matched_agents() <= near
         else:
             assert len(native.pairs) == len(reference.pairs)
             assert len(m_c.pairs | native.pairs) >= target

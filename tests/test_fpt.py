@@ -31,7 +31,14 @@ from devmatch.fpt import (
 from devmatch.generators import GenModel, GenSpec, generate
 from devmatch.oracle import oracle_solve
 
-from conftest import Unreachable, ordered_cycle, problem, variable_gadget
+from conftest import (
+    Unreachable,
+    beyond_distance_two,
+    ordered_cycle,
+    problem,
+    record_list_reads,
+    variable_gadget,
+)
 
 ODD_PATH = Instance(3, ((), (2,), (1, 3), (2,)), None)
 
@@ -151,7 +158,7 @@ class TestTruncation:
         cfg = CandidateConfiguration(Matching(frozenset({(2, 3)})), frozenset(), 1)
         res = truncate_and_collect(p, cfg, fpt._scan(p, cfg.candidate_matching)[0])
         assert not res.rejected
-        assert res.must_match == frozenset({1})
+        assert res.cut.keys() == {1}
         assert res.cut == {1: 1}
         assert ODD_PATH.prefs[1][: res.cut[1] - 1] == ()
         assert 2 not in res.cut
@@ -165,7 +172,7 @@ class TestTruncation:
         res = truncate_and_collect(p, cfg, fpt._scan(p, cfg.candidate_matching)[0])
         assert res.rejected
         assert res.reason == "matched pair (1, 3) falls to the truncation of 3"
-        assert res.must_match == frozenset({3})
+        assert res.cut.keys() == {3}
 
     def test_tolerated_pair_suppresses_its_cut(self):
         inst = Instance(4, ((), (3,), (3, 4), (2, 1), (2,)), None)
@@ -175,7 +182,7 @@ class TestTruncation:
         )
         res = truncate_and_collect(p, cfg, fpt._scan(p, cfg.candidate_matching)[0])
         assert not res.rejected
-        assert res.must_match == frozenset()
+        assert not res.cut
 
 
 def test_extension_fails_when_required_agent_cannot_match():
@@ -384,12 +391,14 @@ def test_certified_solve_reads_only_the_deviators_and_their_neighbours():
     drawn = generate(GenSpec(n=400, list_cap=4, deviator_fraction=0.0, seed=3))
     devs = frozenset({5, 150, 333})
     near = devs.union(*(drawn.instance.prefs[d] for d in devs))
-    assert drawn.instance.d_max == 4  # so auto does not pick the shortlist engine
     for objective in Objective:
         for budget in (0, 1, None):
             inst = Instance(drawn.instance.num_agents, drawn.instance.prefs)
+            # auto reads every list's length, once, to rule out the shortlist engine
+            assert inst.d_max == 4
+            read = record_list_reads(inst)
             out = solve(problem(inst, devs, objective, budget=budget))
-            assert set(inst.ranks) <= near
+            assert read <= near
             assert (out.value, out.certificate_note) == (0, "bipartite-restriction")
 
 
@@ -400,10 +409,31 @@ def test_any_regime_reads_only_nearby_lists():
     for i in range(1, n + 1):
         row = tuple(j for j in (i - 1, i + 1) if 1 <= j <= n)
         prefs.append(row if i != 1 else (2,))
-    inst = Instance(n, tuple(prefs), None)
-    out = solve_fpt(problem(inst, {1}, budget=0))
-    assert out.feasible
-    assert set(inst.ranks) <= {1, 2, 3}
+    for objective in Objective:
+        for budget in (None, 0, 1):
+            inst = Instance(n, tuple(prefs), None)
+            read = record_list_reads(inst)
+            p = problem(inst, {1}, objective, budget=budget)
+            out = optimize_fpt(p) if budget is None else solve_fpt(p)
+            assert out.feasible
+            assert read <= {1, 2, 3}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_any_regime_reads_no_list_beyond_distance_two(seed):
+    """Split, search and join read no list at distance three or more, whatever the parts."""
+    drawn = generate(GenSpec(n=60, list_cap=3, deviator_fraction=0.1, seed=seed))
+    devs = drawn.deviators
+    for objective in Objective:
+        for budget in (None, 0, 1):
+            inst = Instance(drawn.instance.num_agents, drawn.instance.prefs)
+            far = beyond_distance_two(inst, devs)
+            read = record_list_reads(inst)
+            p = problem(inst, devs, objective, budget=budget)
+            out = optimize_fpt(p) if budget is None else solve_fpt(p)
+            assert far and read and read.isdisjoint(far)
+            if out.feasible:
+                verify_solution(p, out.matching, out.value, strict=True)
 
 
 def triangles_and_path(c, m):
@@ -431,13 +461,14 @@ def test_search_cost_does_not_grow_with_the_padding(monkeypatch):
     results = []
     for m in (20, 2000):
         p = triangles_and_path(3, m)
+        read = record_list_reads(p.instance)
         inits = 0
         monkeypatch.setattr(Instance, "__post_init__", counted)
         out = optimize_fpt(p)
         monkeypatch.undo()
         assert inits == 3
-        assert set(p.instance.ranks) <= set(range(1, 10))
-        results.append((out.value, out.certificate_note, len(p.instance.ranks)))
+        assert read <= set(range(1, 10))
+        results.append((out.value, out.certificate_note, len(read)))
     assert results[0] == results[1]
     assert results[0][0] == 3
 
@@ -466,7 +497,7 @@ def connected_triangles(c, m):
 @pytest.mark.parametrize("c, m", [(1, 3), (1, 5), (2, 6)])
 def test_connected_triangles_optimum(c, m):
     p = connected_triangles(c, m)
-    assert len(set(fpt._ball_around_deviators(p).values())) == 1
+    assert len(fpt._parts(p)[0]) == 1
     for regime in SizeRegime:
         report = oracle_solve(replace(p, size_regime=regime))
         assert (report.optimum_bp, report.optimum_ba) == (c, 2 * c)

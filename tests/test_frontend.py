@@ -20,7 +20,7 @@ from devmatch.core import (
 from devmatch.generators import GenSpec, GenModel, generate
 from devmatch.reductions import CnfFormula, sat_to_perfect_smi
 
-from conftest import ordered_cycle
+from conftest import ordered_cycle, record_list_reads
 
 FORMULA_B = CnfFormula(3, ((1, 2, 3), (-1, -2, -3), (1, -2, 3), (-1, 2, -3)))
 
@@ -275,6 +275,15 @@ class TestCli:
         bad = tmp_path / "u.cnf"
         bad.write_text("p cnf 1 2\n1 1 1 0\n-1 -1 -1 0\n")
         assert main(["reduce", "sat2smi", str(bad)]) == 3
+
+    @pytest.mark.parametrize("header", ["p cnf x 2", "p cnf 2 y", "p cnf -1 0", "p cnf 0 -1"])
+    def test_reduce_rejects_a_bad_problem_line(self, tmp_path, capsys, header):
+        bad = tmp_path / "h.cnf"
+        bad.write_text(header + "\n")
+        assert main(["reduce", "sat2smi", str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad problem line: {header!r}\n"
 
     def test_reduce_witness_on_unsatisfiable_formula(self, tmp_path, capsys):
         import json
@@ -647,7 +656,7 @@ def test_parsing_builds_no_rank_table():
 def test_cli_any_regime_solve_reads_only_lists_near_the_deviators(
     tmp_path, capsys, monkeypatch, engine, objective, flags
 ):
-    """A CLI solve reads no rank table past distance two from a deviator.
+    """A CLI solve reads no list past distance two from a deviator.
 
     The file is a 2,000-agent path with the deviators at one end.  auto
     would send it to the shortlist solver, which covers every agent, so the
@@ -657,12 +666,12 @@ def test_cli_any_regime_solve_reads_only_lists_near_the_deviators(
     prefs = [()] + [tuple(j for j in (i - 1, i + 1) if 1 <= j <= n) for i in range(1, n + 1)]
     path = tmp_path / "path.dsm"
     path.write_text(fileio.serialize_instance(Instance(n, tuple(prefs)), frozenset({1, 2, 3})))
-    parsed = []
+    reads = []
     parse = fileio.parse_instance
 
     def captured(text):
         result = parse(text)
-        parsed.append(result[0])
+        reads.append(record_list_reads(result[0]))
         return result
 
     monkeypatch.setattr(fileio, "parse_instance", captured)
@@ -670,8 +679,8 @@ def test_cli_any_regime_solve_reads_only_lists_near_the_deviators(
                  "--engine", engine, *flags]) == 0
     note = "bipartite-restriction" if engine == "bipartite" else f"fpt-{objective}-any#0"
     assert capsys.readouterr().out.splitlines()[-2:] == ["value 0", f"algorithm {note}"]
-    [inst] = parsed
-    assert set(inst.ranks) <= set(range(1, 6))
+    [read] = reads
+    assert read <= set(range(1, 6))
 
 
 def test_the_parser_is_built_once():

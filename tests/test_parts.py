@@ -1,5 +1,6 @@
 """The configuration search split into independent parts: metamorphic and differential checks."""
 
+import itertools
 import random
 import re
 
@@ -13,7 +14,7 @@ from devmatch.fpt import PerfectInfeasible, optimize_fpt, solve_fpt
 from devmatch.generators import GenModel, GenSpec, generate
 from devmatch.oracle import oracle_solve
 
-from conftest import problem, relabel_instance
+from conftest import induce, problem, relabel_instance
 
 
 def disjoint_union(*problems):
@@ -177,3 +178,64 @@ def test_budget_solve_optimizes_all_but_the_last_part(parts, objective, regime, 
         indices = [o.certificate_note.rpartition("#")[2] for o in earlier + [alone]]
         index = "0" if set(indices) == {"0"} else "+".join(indices)
         assert out.certificate_note == f"fpt-{objective.value}-{regime.value}#{index}"
+
+
+def reference_split(p):
+    """The parts' agents and the idle agents, by brute force, all ascending.
+
+    Any-size regime: each deviator's distance-two ball by breadth-first
+    search, merged while any two overlap, in order of least deviator, and no
+    idle agents.  Else the components holding a deviator, in order of least
+    deviator, and the other agents idle.
+    """
+    inst, devs = p.instance, p.deviators
+
+    def reach(d, depth):
+        seen, frontier = {d}, {d}
+        for _ in range(depth):
+            frontier = {j for v in frontier for j in inst.prefs[v]} - seen
+            seen |= frontier
+        return seen
+
+    if p.size_regime is not SizeRegime.ANY:
+        comps = []
+        for d in sorted(devs):
+            if not any(d in c for c in comps):
+                comps.append(reach(d, inst.num_agents))
+        covered = set().union(*comps)
+        return [sorted(c) for c in comps], [a for a in inst.agents() if a not in covered]
+    groups = [reach(d, 2) for d in sorted(devs)]
+    merged = True
+    while merged:
+        merged = False
+        for a, b in itertools.combinations(range(len(groups)), 2):
+            if groups[a] & groups[b]:
+                groups[a] |= groups.pop(b)
+                merged = True
+                break
+    return [sorted(g) for g in sorted(groups, key=lambda g: min(g & devs))], []
+
+
+def test_split_matches_the_brute_force_reference():
+    """Seeded draws in every regime, deviator fractions 0 to 1, list caps from 1."""
+    rng = random.Random(16)
+    for _ in range(250):
+        model = rng.choice(list(GenModel))
+        cap = rng.choice([1, 2] if model is GenModel.PATH_CYCLE_ONLY else [1, 2, 3, 4, 5])
+        drawn = generate(GenSpec(n=rng.randint(2, 40), model=model, list_cap=cap,
+                                 deviator_fraction=rng.choice([0, 0.05, 0.15, 0.3, 0.6, 1]),
+                                 seed=rng.getrandbits(32)))
+        for regime in SizeRegime:
+            inst = Instance(drawn.instance.num_agents, drawn.instance.prefs, drawn.instance.sides)
+            p = problem(inst, drawn.deviators, regime=regime)
+            sweeps, idle = fpt._parts(p)
+            parts = [ids for _, ids in sweeps]
+            assert (parts, idle) == reference_split(p)
+            for sweep, ids in sweeps:
+                assert sweep.problem.instance == induce(inst, ids)
+                assert sweep.problem.deviators == {
+                    i for i, a in enumerate(ids, 1) if a in drawn.deviators
+                }
+            # only a part that is the whole instance, whose size is then read, fills a table
+            if regime is SizeRegime.ANY or inst.num_agents not in map(len, parts):
+                assert len(inst.ranks) == 0
