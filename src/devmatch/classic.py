@@ -180,18 +180,15 @@ def _blossom_search(adj, mate, roots, spare=None):
 def max_cardinality_matching(instance: Instance) -> Matching:
     """A maximum matching of the instance's mutual-acceptability graph.
 
-    O(V^3) time and O(V + E) space.  The adjacency lists keep each agent's
-    preference order and ignore one-sided entries.  A greedy pass in
+    O(V^3) time and O(V + E) space.  The adjacency lists are the
+    instance's mutual lists, in preference order.  A greedy pass in
     ascending agent order matches each agent to its first free neighbour;
     then _blossom_search grows a tree from each still exposed agent, in
     ascending order.  An agent with no augmenting path never gains one
     later, so one pass suffices.  The result depends only on the instance.
     """
     n = instance.num_agents
-    ranks = instance.ranks
-    adj = [()] + [
-        tuple(j for j in instance.prefs[i] if i in ranks[j]) for i in range(1, n + 1)
-    ]
+    adj = [()] + [instance.mutual[i] for i in range(1, n + 1)]
     mate = [0] * (n + 1)  # 0: exposed
     for i in range(1, n + 1):
         if not mate[i]:
@@ -248,30 +245,22 @@ def gale_shapley(instance: Instance) -> Matching:
         return Matching(frozenset())
     ranks = instance.ranks
     side = instance.sides[1]
-    proposers = [i for i in instance.agents() if instance.sides[i] == side]
+    free = [i for i in reversed(instance.agents()) if instance.sides[i] == side]
     next_idx = [0] * (n + 1)
-    holds: dict[int, int] = {}
-    engaged_to: dict[int, int] = {}
-    free = list(reversed(proposers))
+    holds: dict[int, int] = {}  # recipient -> the proposer it holds
     while free:
         x = free.pop()
-        while next_idx[x] < len(instance.prefs[x]):
-            y = instance.prefs[x][next_idx[x]]
+        own = instance.mutual[x]
+        while next_idx[x] < len(own):
+            y = own[next_idx[x]]
             next_idx[x] += 1
-            if x not in ranks[y]:
-                continue
             h = holds.get(y)
-            if h is None:
+            if h is None or ranks[y][x] < ranks[y][h]:
                 holds[y] = x
-                engaged_to[x] = y
+                if h is not None:
+                    free.append(h)
                 break
-            if ranks[y][x] < ranks[y][h]:
-                holds[y] = x
-                engaged_to[x] = y
-                del engaged_to[h]
-                free.append(h)
-                break
-    return Matching(frozenset((x, y) if x < y else (y, x) for x, y in engaged_to.items()))
+    return Matching(frozenset((x, y) if x < y else (y, x) for y, x in holds.items()))
 
 
 class _Table:
@@ -283,12 +272,8 @@ class _Table:
     """
 
     def __init__(self, instance: Instance):
-        ranks = instance.ranks
         self.n = instance.num_agents
-        self.prefs = [
-            tuple(j for j in instance.prefs[i] if i in ranks[j]) if i else ()
-            for i in range(self.n + 1)
-        ]
+        self.prefs = [instance.mutual[i] if i else () for i in range(self.n + 1)]
         self.pos = [
             {j: idx for idx, j in enumerate(self.prefs[i])} for i in range(self.n + 1)
         ]

@@ -76,17 +76,19 @@ class SizeRegime(Enum):
     PERFECT = "perfect"
 
 
-class _RankMaps(dict):
-    """agent -> {partner: 1-based rank}, each table built on first access."""
+_UNRANKED = 1 << 30  # the rank of an absent partner: below every list entry
 
-    def __init__(self, prefs: tuple[tuple[int, ...], ...]):
+
+class _PerAgent(dict):
+    """agent -> build(agent), each value built on first access."""
+
+    def __init__(self, build):
         super().__init__()
-        self.prefs = prefs
+        self.build = build
 
-    def __missing__(self, agent: int) -> dict[int, int]:
-        table = {j: r for r, j in enumerate(self.prefs[agent], start=1)}
-        self[agent] = table
-        return table
+    def __missing__(self, agent: int):
+        value = self[agent] = self.build(agent)
+        return value
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,18 @@ class Instance:
         solver that stays near a few agents reads only their lists however
         many agents the instance has.
         """
-        return _RankMaps(self.prefs)
+        prefs = self.prefs
+        return _PerAgent(lambda i: {j: r for r, j in enumerate(prefs[i], start=1)})
+
+    @cached_property
+    def mutual(self) -> dict[int, tuple[int, ...]]:
+        """mutual[i] = i's list less the entries that do not rank i back, built like ranks.
+
+        Solvers pair agents through this view or through both rank tables,
+        so a one-sided entry, which validate_instance rejects, is never paired.
+        """
+        prefs, ranks = self.prefs, self.ranks
+        return _PerAgent(lambda i: tuple([j for j in prefs[i] if i in ranks[j]]))
 
 
 def validate_instance(instance: Instance) -> None:
@@ -232,22 +245,32 @@ def is_perfect(instance: Instance, matching: Matching) -> bool:
     return 2 * len(matching.pairs) == instance.num_agents
 
 
-def _blocking_pairs_of(instance: Instance, mate: dict[int, int], agents) -> frozenset:
-    """The blocking pairs with a member in agents; see blocking_report.
+def _triggers(instance: Instance, mate: dict[int, int], agents):
+    """The list of (i, j, back, breaks) per i in agents and j that i ranks above its partner.
 
-    mate maps each matched agent to its partner, as Matching keeps it.
+    mate maps each matched agent to its partner, as Matching keeps it.  j
+    runs over i's list down to that partner (all of it when i is unmatched),
+    keeping the entries that rank i back: back is i's rank on j's list, and
+    breaks is set when j's partner ranks below i.  {i, j} blocks exactly
+    when breaks is set or j is unmatched.
     """
-    ranks = instance.ranks
-    found = set()
-    # an unmatched agent's partner ranks one past the end of its list
+    ranks, found = instance.ranks, []
     for i in agents:
-        own = ranks[i]
-        for j in instance.prefs[i][: own.get(mate.get(i), len(own) + 1) - 1]:
+        for j in instance.prefs[i][: ranks[i].get(mate.get(i), _UNRANKED) - 1]:
             theirs = ranks[j]
             back = theirs.get(i)
-            if back is not None and back < theirs.get(mate.get(j), len(theirs) + 1):
-                found.add((i, j) if i < j else (j, i))
-    return frozenset(found)
+            if back is not None:  # an unmatched j gets i as its partner: back < back fails
+                found.append((i, j, back, back < theirs.get(mate.get(j, i), _UNRANKED)))
+    return found
+
+
+def _blocking_pairs_of(instance: Instance, mate: dict[int, int], agents) -> frozenset:
+    """The blocking pairs with a member in agents, read off _triggers."""
+    return frozenset([
+        (i, j) if i < j else (j, i)
+        for i, j, _, breaks in _triggers(instance, mate, agents)
+        if breaks or j not in mate
+    ])
 
 
 @dataclass(frozen=True)
@@ -285,7 +308,8 @@ def blocking_report(
 
     A pair {i, j} blocks when i and j are mutually acceptable and each
     strictly prefers the other to its current partner; an unmatched agent
-    prefers every acceptable partner.  Both views run one scan: each scanned
+    prefers every acceptable partner.  Both views read the pairs off one
+    scan, _triggers, which the configuration search reads too: each scanned
     agent reads its own list down to its partner, checking each entry
     against that entry's rank table only.  The deviator view scans the
     deviators alone, so its cost does not grow with the number of agents;

@@ -15,14 +15,16 @@ and verifies decides the outcome.
 Running time is exponential only in the number of deviators and the budget;
 everything else is polynomial.  In the any-size regime the work per
 configuration depends only on the deviators' neighbourhood, not on the
-number of agents: candidate matchings come from a backtracking walk that
-drops a clash as soon as it appears, one pass over the deviators' lists per
-candidate matching (_scan) gives its floor and the triggers every truncation
-reads, the cut is a dict rather than a copy of the instance, and values come
-from core.blocking_report's deviator view.  The solver touches no preference
-list of agents at acceptability-distance three or more from the deviator
-set, and builds rank tables only of the parts' sub-instances; the tests
-check that by recording every read of Instance.prefs.
+number of agents: candidate matchings come from a backtracking walk over
+the deviators' lists less their one-sided entries (Instance.mutual) that
+drops a clash as soon as it appears, core's trigger scan of the deviators
+(_scan) gives each candidate matching's floor and the triggers every
+truncation reads, the cut is a dict rather than a copy of the instance, and
+values come from core.blocking_report's deviator view, which reads the same
+scan.  The solver touches no preference list of agents at
+acceptability-distance three or more from the deviator set, and builds rank
+tables only of the parts' sub-instances; the tests check that by recording
+every read of Instance.prefs.
 
 Both entry points search independent parts one by one and add up their
 optima, exactly: a blocking pair is an edge, so both objectives add up over
@@ -57,18 +59,18 @@ from .classic import (
     max_cardinality_size,
 )
 from .core import (
+    _UNRANKED,
     DeviatorProblem,
     Instance,
     Matching,
     Objective,
     SizeRegime,
     SolveOutcome,
+    _triggers,
     blocking_report,
     objective_value,
     verify_solution,
 )
-
-_UNRANKED = 1 << 30
 
 
 class PerfectInfeasible(ValueError):
@@ -116,15 +118,16 @@ class TruncationResult:
 def _deviator_matchings(inst: Instance, devs: list[int]):
     """Yield every matching the deviators can choose, in product order.
 
-    Deviator devs[i] tries the entries of its list in rank order, then
-    unmatched, and devs[-1] varies fastest.  The walk backtracks as soon as
-    a choice clashes: a non-deviator partner already taken, a deviator that
-    already chose otherwise or is claimed by another deviator, or a claimed
-    deviator not picking its claimant.  So it yields exactly the matchings
-    of the full product of choices, in the product's order.  The walk keeps
-    its own stack, so its depth is not bounded by Python's recursion limit.
+    Deviator devs[i] tries the entries of its list that rank it back
+    (Instance.mutual) in rank order, then unmatched, and devs[-1] varies
+    fastest.  The walk backtracks as soon as a choice clashes: a non-deviator
+    partner already taken, a deviator that already chose otherwise or is
+    claimed by another deviator, or a claimed deviator not picking its
+    claimant.  So it yields exactly the matchings of the full product of
+    choices, in the product's order.  The walk keeps its own stack, so its
+    depth is not bounded by Python's recursion limit.
     """
-    options = [inst.prefs[d] + (None,) for d in devs]
+    options = [inst.mutual[d] + (None,) for d in devs]
     dev_set = frozenset(devs)
     claimant: dict[int, int] = {}
     taken: set[int] = set()
@@ -222,28 +225,17 @@ def enumerate_configurations(p: DeviatorProblem, k: int, *, _sweep: _Sweep | Non
 
 
 def _scan(p: DeviatorProblem, m_c: Matching) -> tuple[list, int]:
-    """A candidate matching's triggers and floor, from one pass over the deviators' lists.
+    """A candidate matching's triggers and floor: core._triggers over the sorted deviators.
 
-    A trigger (d, r, back, breaks) is an agent r that deviator d ranks above
-    its partner in M_C (every r when d is unmatched), in ascending d and
-    then rank order; back is d's rank on r's list, and breaks is set when
-    M_C matches r to a partner r ranks below d.  A breaking trigger is a
-    blocking pair of M_C whose end across from d keeps its partner in every
-    completion, so it blocks whatever the tolerated set: the floor counts
-    those pairs, or the deviators in them under the agent objective.
+    A breaking trigger (d, r, back, breaks) is a blocking pair of M_C whose
+    end across from d keeps its partner in every completion, so it blocks
+    whatever the tolerated set: the floor counts those pairs, or the
+    deviators in them under the agent objective.
     """
-    inst, devs = p.instance, p.deviators
-    ranks, triggers, locked = inst.ranks, [], set()
-    for d in sorted(devs):
-        # an unmatched d is its own partner, which its list does not rank
-        for r in inst.prefs[d][: ranks[d].get(m_c.partner_of(d), _UNRANKED) - 1]:
-            back, mate = ranks[r][d], m_c.partner_of(r)
-            breaks = mate != r and back < ranks[r][mate]
-            triggers.append((d, r, back, breaks))
-            if breaks:
-                locked.add((d, r) if d < r else (r, d))
+    triggers = _triggers(p.instance, m_c._partner, sorted(p.deviators))
+    locked = {(d, r) if d < r else (r, d) for d, r, _, breaks in triggers if breaks}
     if p.objective is Objective.BLOCKING_AGENTS:
-        locked = {a for pair in locked for a in pair} & devs
+        locked = {a for pair in locked for a in pair} & p.deviators
     return triggers, len(locked)
 
 
@@ -304,14 +296,10 @@ def extend_via_weighted_matching(
     if any(cut[r] == 1 for r in must):
         return None
 
-    adj = [()]
-    for i in inst.agents():
-        stop = cut.get(i)
-        own = inst.prefs[i]
-        adj.append([] if i in matched else [
-            j for j in (own if stop is None else own[: stop - 1])
-            if j not in matched and inst.ranks[j].get(i, _UNRANKED) < cut.get(j, _UNRANKED)
-        ])
+    adj = [()] + [[] if i in matched else [
+        j for j in inst.prefs[i][: cut.get(i, _UNRANKED) - 1]
+        if j not in matched and inst.ranks[j].get(i, _UNRANKED) < cut.get(j, _UNRANKED)
+    ] for i in inst.agents()]
     mate = covering_matching(adj, must, target_size is not None)
     if mate is None:
         return None
@@ -537,7 +525,7 @@ def solve_bipartite_restriction(p: DeviatorProblem) -> Matching | None:
 
     Let H keep the deviators and the agents on their lists, relabelled in
     ascending id, and only the edges that touch a deviator, each list in
-    its original order (the proposal table drops one-sided entries).  Any
+    its original order (Irving's table reads Instance.mutual).  Any
     deviator blocking pair is an edge of H ranked as in p, so a stable
     matching of H has none in p; Irving's algorithm (Irving 1985) finds one
     whenever H has one, and a bipartite H always has one (Gale & Shapley

@@ -17,7 +17,7 @@ draw order is part of the contract:
    membership (draw < deviator_fraction).
 
 Edges are sampled before lists so acceptability is symmetric by
-construction, with no repair pass.
+construction, with no repair pass.  Specs over MAX_CANDIDATES pairs are refused.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ import random
 from dataclasses import dataclass
 
 from .core import DeviatorProblem, Instance, Objective, SizeRegime
+
+
+MAX_CANDIDATES = 5_000_000  # about 3,162 agents unsided; the repo draws at most 2,000
 
 
 class InfeasibleSpec(ValueError):
@@ -67,9 +70,12 @@ def generate(spec: GenSpec) -> DeviatorProblem:
         raise InfeasibleSpec("path/cycle instances need list_cap <= 2")
     if spec.model is GenModel.SMI_UNIFORM and 0 < spec.n < 2:
         raise InfeasibleSpec("two-sided instances need at least 2 agents")
+    n = spec.n
+    count = n // 2 * (n - n // 2) if spec.model is GenModel.SMI_UNIFORM else n * (n - 1) // 2
+    if count > MAX_CANDIDATES:
+        raise InfeasibleSpec(f"n={n} gives {count} candidate pairs, over {MAX_CANDIDATES}")
 
     rng = random.Random(spec.seed)
-    n = spec.n
 
     sides = None
     if spec.model is GenModel.SMI_UNIFORM and n:

@@ -18,7 +18,6 @@ from .core import (
     Matching,
     Objective,
     SizeRegime,
-    blocking_report,
 )
 
 
@@ -46,11 +45,8 @@ class OracleReport:
 
 
 def _mutual_neighbors(instance: Instance) -> list[list[int]]:
-    ranks = instance.ranks
-    nbrs: list[list[int]] = [[] for _ in range(instance.num_agents + 1)]
-    for i in instance.agents():
-        nbrs[i] = sorted(j for j in instance.prefs[i] if i in ranks[j])
-    return nbrs
+    prefs = instance.prefs
+    return [sorted(j for j in lst if i in prefs[j]) for i, lst in enumerate(prefs)]
 
 
 def _max_size(n: int, neighbors: list[list[int]]) -> int:
@@ -153,9 +149,13 @@ def oracle_solve(problem: DeviatorProblem, cap: int = 14) -> OracleReport:
     stable_sets: list[frozenset[int]] = []
     seen = set()
     devs = problem.deviators
+    rank = [{j: r for r, j in enumerate(lst)} for lst in inst.prefs]
+    edges = [(i, j) for i, nbrs in enumerate(_mutual_neighbors(inst)) for j in nbrs if i < j]
     for m in enumerate_matchings(inst, SizeRegime.ANY, cap=cap):
-        # filtered here: independent of the deviator-local scan the solvers use
-        blocking = blocking_report(inst, m).blocking_pairs
+        # a mutually acceptable pair blocks when each end ranks the other above
+        # its partner; an unmatched end's partner (itself) ranks below all (n)
+        blocking = [(i, j) for i, j in edges if rank[i][j] < rank[i].get(m.partner_of(i), n)
+                    and rank[j][i] < rank[j].get(m.partner_of(j), n)]
         size = len(m.pairs)
         vbp = sum(1 for i, j in blocking if i in devs or j in devs)
         vba = len({a for pair in blocking for a in pair} & devs)

@@ -48,13 +48,10 @@ class ComponentDecomposition:
 
 
 def _adjacency(instance: Instance) -> list[list[int]]:
-    ranks = instance.ranks
-    adj: list[list[int]] = [[] for _ in range(instance.num_agents + 1)]
     for i in instance.agents():
         if len(instance.prefs[i]) > 2:
             raise ListTooLong(i)
-        adj[i] = sorted(j for j in instance.prefs[i] if i in ranks[j])
-    return adj
+    return [[]] + [sorted(instance.mutual[i]) for i in instance.agents()]
 
 
 def decompose(inst: Instance) -> ComponentDecomposition:

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import devmatch
 from devmatch import ENGINES, EngineUnsupported, solve
-from devmatch.core import Objective, SizeRegime, verify_solution
-from devmatch.fpt import PerfectInfeasible
+from devmatch.core import Instance, Objective, SizeRegime, verify_solution
+from devmatch.fpt import PerfectInfeasible, optimize_fpt
 from devmatch.generators import GenModel, GenSpec, generate
 from devmatch.oracle import oracle_solve
 from devmatch.shortlist import ListTooLong
@@ -119,6 +119,65 @@ def test_a_drawn_engine_agrees_with_the_oracle(n, seed, model, cap, frac, engine
             for budget in (None, 0, 1, 2):
                 p = problem(inst, deviators, objective, regime, budget)
                 check_engine(p, engine, optimum(report, objective))
+
+
+def with_one_sided_entries(inst: Instance, rng: random.Random, count: int) -> Instance | None:
+    """inst with count one-sided entries: j put on i's list, at a random place.
+
+    Each entry comes from its own pair {i, j} that neither end ranks, so
+    none becomes mutual.  Returns None when no such pair exists.
+    """
+    prefs = [list(lst) for lst in inst.prefs]
+    pairs = [(i, j) for i in inst.agents() for j in range(i + 1, inst.num_agents + 1)
+             if j not in prefs[i]]
+    if not pairs:
+        return None
+    for i, j in rng.sample(pairs, min(count, len(pairs))):
+        if rng.random() < 0.5:
+            i, j = j, i
+        prefs[i].insert(rng.randint(0, len(prefs[i])), j)
+    return Instance(inst.num_agents, tuple(map(tuple, prefs)), inst.sides)
+
+
+def test_one_sided_entries_count_as_absent_in_every_solver():
+    """optimize_fpt, auto and the oracle agree on draws with 1-3 one-sided entries.
+
+    validate_instance rejects such entries, and the library's solvers treat
+    them as absent: 300 seeded draws of n 3-10 (list cap 3, half deviators),
+    every regime and objective, each outcome passing strict verification.
+    """
+    rng = random.Random(20261019)
+    for seed in range(300):
+        drawn = generate(GenSpec(n=rng.randint(3, 10), list_cap=3, deviator_fraction=0.5,
+                                 seed=seed))
+        inst = with_one_sided_entries(drawn.instance, rng, rng.randint(1, 3))
+        if inst is None:
+            continue
+        for regime in SizeRegime:
+            report = oracle_solve(problem(inst, drawn.deviators, regime=regime))
+            for objective in Objective:
+                p = problem(inst, drawn.deviators, objective, regime)
+                want = optimum(report, objective)
+                if want is None:
+                    for run in (optimize_fpt, solve):
+                        with pytest.raises(PerfectInfeasible):
+                            run(p)
+                    continue
+                outcomes = [optimize_fpt(p), solve(p)]
+                assert [out.value for out in outcomes] == [want, want], (p, outcomes)
+                witnesses = [out.matching for out in outcomes]
+                witnesses.append(report.witness_per_objective[objective])
+                for matching in witnesses:
+                    assert verify_solution(p, matching, want, strict=True)
+
+
+def test_a_deviator_never_takes_a_one_sided_partner():
+    """Deviator 1 ranks 3, but 3 ranks only 4: 1 can only be matched to 2."""
+    p = problem(Instance(4, ((), (3, 2), (1,), (4,), (3,))), {1})
+    for out in (optimize_fpt(p), solve(p, "fpt"), solve(p)):
+        assert out.value == 0
+        assert verify_solution(p, out.matching, 0, strict=True)
+    assert optimize_fpt(p).matching.pairs == {(1, 2)}
 
 
 def test_unknown_engine_is_refused():

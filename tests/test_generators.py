@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from devmatch import cli, generators
 from devmatch.core import Objective, SizeRegime
 from devmatch.generators import GenModel, GenSpec, InfeasibleSpec, generate
 
@@ -25,6 +26,40 @@ class TestValidation:
         p = generate(GenSpec(n=0))
         assert p.instance.num_agents == 0
         assert p.deviators == frozenset()
+
+
+class _NoDraws:
+    """Stands in for the random module: a draw past the size check fails at once."""
+
+    def Random(self, seed):
+        raise AssertionError("the spec reached the draws")
+
+
+@pytest.mark.parametrize("model, largest", [
+    (GenModel.SRI_UNIFORM, 3162),  # 3162 * 3161 / 2 = 4,997,541 candidate pairs
+    (GenModel.PATH_CYCLE_ONLY, 3162),
+    (GenModel.SMI_UNIFORM, 4472),  # 2236 * 2236 = 4,999,696 cross-side pairs
+])
+def test_too_many_candidate_pairs_are_refused_before_any_draw(monkeypatch, model, largest):
+    """More than MAX_CANDIDATES candidate pairs raise before the generator allocates.
+
+    The random module is swapped out, so a missing check fails on its first
+    draw instead of listing the pairs.
+    """
+    monkeypatch.setattr(generators, "random", _NoDraws())
+    cap = 2 if model is GenModel.PATH_CYCLE_ONLY else 3
+    for n in (largest + 1, 10**6):
+        with pytest.raises(InfeasibleSpec, match="candidate pairs"):
+            generate(GenSpec(n=n, model=model, list_cap=cap))
+    with pytest.raises(AssertionError, match="reached the draws"):
+        generate(GenSpec(n=largest, model=model, list_cap=cap))
+
+
+def test_cli_refuses_an_oversized_gen(monkeypatch, capsys):
+    """devmatch gen --n 1000000 exits 2, like the other refused specs."""
+    monkeypatch.setattr(generators, "random", _NoDraws())
+    assert cli.main(["gen", "--n", "1000000"]) == 2
+    assert "candidate pairs" in capsys.readouterr().err
 
 
 def test_same_seed_same_draw():

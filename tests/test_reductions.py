@@ -1,8 +1,12 @@
 """Instance transformations: CNF parsing, the SAT construction, list completions."""
 
 import itertools
+import json
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -417,3 +421,23 @@ class TestMinbaComplete:
                 assert (before <= k) == (after <= k), (inst, k, before, after)
                 checked += 1
         assert checked >= 10
+
+
+def test_unsat_search_script_runs(tmp_path):
+    """scripts/search_unsat_balanced.py runs on clause_mask and literal_masks as they are.
+
+    One 0.1 s search for a 6-variable formula, seed 0: it exits 0 and writes
+    {n, seed, formulas}; every formula written parses as (2,2)-E3 and has no
+    satisfying assignment.
+    """
+    script = Path(__file__).resolve().parents[1] / "scripts" / "search_unsat_balanced.py"
+    out = tmp_path / "out.json"
+    subprocess.run([sys.executable, str(script), "6", "1", str(out), "0.1", "0"],
+                   capture_output=True, text=True, timeout=120, check=True)
+    found = json.loads(out.read_text())
+    assert set(found) == {"n", "seed", "formulas"}
+    assert (found["n"], found["seed"]) == (6, 0)
+    for clauses in found["formulas"]:
+        body = "\n".join(" ".join(map(str, c)) + " 0" for c in clauses)
+        formula = parse_cnf_22e3(f"p cnf {found['n']} {len(clauses)}\n{body}\n")
+        assert satisfying_mask(formula) == 0
