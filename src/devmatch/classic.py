@@ -227,8 +227,17 @@ def covering_matching(adj, must, maximum: bool) -> list[int] | None:
 
 
 def max_cardinality_size(instance: Instance) -> int:
-    """Size of a maximum matching in the instance's acceptability graph."""
-    return len(max_cardinality_matching(instance).pairs)
+    """Size of a maximum matching in the instance's acceptability graph.
+
+    The size is remembered on the instance, whose lists never change, so
+    the blossom search runs once per instance however often it is asked:
+    the configuration search asks once for its target and again for each
+    accepted matching's verification.
+    """
+    known = vars(instance)
+    if "_max_size" not in known:
+        known["_max_size"] = len(max_cardinality_matching(instance).pairs)
+    return known["_max_size"]
 
 
 def gale_shapley(instance: Instance) -> Matching:

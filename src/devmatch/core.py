@@ -108,6 +108,7 @@ class Instance:
     num_agents: int
     prefs: tuple[tuple[int, ...], ...]
     sides: tuple[int, ...] | None = None
+    _all_mutual = False  # not a field: set once every entry is known to rank its agent back
 
     def __post_init__(self):
         n = self.num_agents
@@ -151,14 +152,28 @@ class Instance:
         return _PerAgent(lambda i: {j: r for r, j in enumerate(prefs[i], start=1)})
 
     @cached_property
-    def mutual(self) -> dict[int, tuple[int, ...]]:
-        """mutual[i] = i's list less the entries that do not rank i back, built like ranks.
+    def mutual(self) -> dict[int, tuple[int, ...]] | tuple[tuple[int, ...], ...]:
+        """mutual[i] = i's list less the entries that do not rank i back.
 
         Solvers pair agents through this view or through both rank tables,
         so a one-sided entry, which validate_instance rejects, is never paired.
+        On an instance that validate_instance passed, or one cut from such an
+        instance, every entry ranks its agent back, so mutual is prefs itself,
+        as it is when first read, and builds no rank table.  Elsewhere each
+        agent's entry is built on first access from the rank tables.
         """
-        prefs, ranks = self.prefs, self.ranks
+        prefs = self.prefs
+        if self._all_mutual:
+            return prefs
+        ranks = self.ranks
         return _PerAgent(lambda i: tuple([j for j in prefs[i] if i in ranks[j]]))
+
+
+def _inherit_mutual(sub: Instance, whole: Instance) -> Instance:
+    """sub, marked as all mutual when whole is; it must keep or drop each pair from both ends."""
+    if whole._all_mutual:
+        object.__setattr__(sub, "_all_mutual", True)
+    return sub
 
 
 def validate_instance(instance: Instance) -> None:
@@ -172,7 +187,10 @@ def validate_instance(instance: Instance) -> None:
     agent i ascending and the first j on i's list, then the sides.
 
     The checks read one set per list and build no rank table, so
-    instance.ranks stays empty for the solver to fill.
+    instance.ranks stays empty for the solver to fill.  Once every check
+    has passed, the instance is marked as one whose entries are all mutual:
+    its Instance.mutual is its prefs, so no solver builds a rank table to
+    drop one-sided entries it cannot have.
     """
     prefs = instance.prefs
     accepts = [frozenset()]
@@ -197,6 +215,7 @@ def validate_instance(instance: Instance) -> None:
                     raise SidedPairViolation(
                         f"agents {i} and {j} are acceptable but share side {side}"
                     )
+    object.__setattr__(instance, "_all_mutual", True)
 
 
 @dataclass(frozen=True)
@@ -378,17 +397,21 @@ class SolveOutcome:
 def checked_value(problem: DeviatorProblem, matching: Matching, claimed_value=None) -> int:
     """Check a claimed solution against its problem and return its recomputed value.
 
-    Verifies, in order: every pair is mutually acceptable; the matching
-    belongs to the regime's family (perfect matchings cover everyone, an
-    odd agent count can never be perfect; maximum-cardinality matchings are
-    compared against a freshly computed maximum); the recomputed objective
-    equals claimed_value, unless that is None; and the value respects the
-    budget when one is set.  The first failing check raises VerificationError.
+    Verifies, in order: every pair is mutually acceptable, read as each
+    end's membership on the other's list, so no rank table is built for it
+    and, an agent being in at most one pair, each list is read at most
+    once; the matching belongs to the regime's family (perfect matchings
+    cover everyone, an odd agent count can never be perfect;
+    maximum-cardinality matchings are compared against
+    classic.max_cardinality_size, which runs the blossom search once per
+    instance); the recomputed objective equals claimed_value, unless that
+    is None; and the value respects the budget when one is set.  The first
+    failing check raises VerificationError.
     """
     inst = problem.instance
-    ranks = inst.ranks
+    prefs = inst.prefs
     for i, j in matching.pairs:
-        if i < 1 or j > inst.num_agents or j not in ranks[i] or i not in ranks[j]:
+        if i < 1 or j > inst.num_agents or j not in prefs[i] or i not in prefs[j]:
             raise VerificationError(f"pair ({i}, {j}) is not mutually acceptable")
 
     if problem.size_regime is SizeRegime.PERFECT:

@@ -30,9 +30,9 @@ class SyntaxError(ValueError):  # noqa: A001 - file-format error, line-addressed
 def _tokens(text: str):
     """Yield (line_number, tokens) for non-blank, comment-stripped lines."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            yield lineno, body.split()
+        toks = raw.split("#", 1)[0].split()  # split() drops the edges' whitespace too
+        if toks:
+            yield lineno, toks
 
 
 def _int(tok: str, lineno: int) -> int:

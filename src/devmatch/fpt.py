@@ -66,6 +66,7 @@ from .core import (
     Objective,
     SizeRegime,
     SolveOutcome,
+    _inherit_mutual,
     _triggers,
     blocking_report,
     objective_value,
@@ -274,16 +275,18 @@ def extend_via_weighted_matching(
 ) -> Matching | None:
     """Complete a truncated configuration by one Q-first matching, or reject.
 
-    Lists are read through trunc.cut: agent i keeps prefs[i][:cut[i] - 1],
-    and j still accepts i when i ranks above cut.get(j, infinity) on j's
-    list.  The graph is on the agents of p's part, already numbered 1..n;
-    those the candidate matching covers get no edges.  The must-match set Q
-    is the cut's agents.  classic.covering_matching grows a tree from each
-    exposed agent of Q first, and with a target size (maximum-cardinality
-    and perfect regimes) then augments from every other exposed agent, so
-    the augmenting order does what the weights n + |e ∩ Q| (|e ∩ Q| without
-    a target) of a weighted matching used to: maximum cardinality first, Q
-    covered second.  The result is rejected unless all of Q is matched and
+    Lists are read through Instance.mutual and trunc.cut: agent i keeps
+    the entries it ranks above cut[i] (prefs[i][:cut[i] - 1] on a
+    validated instance), and j still accepts i when i ranks above
+    cut.get(j, infinity) on j's list, so only the cut's agents have their
+    rank tables read.  The graph is on the agents of p's part, already
+    numbered 1..n; those the candidate matching covers get no edges.  The
+    must-match set Q is the cut's agents.  classic.covering_matching grows
+    a tree from each exposed agent of Q first, and with a target size
+    (maximum-cardinality and perfect regimes) then augments from every
+    other exposed agent, so the augmenting order does what the weights
+    n + |e ∩ Q| (|e ∩ Q| without a target) of a weighted matching used
+    to: maximum cardinality first, Q covered second.  The result is rejected unless all of Q is matched and
     the combined size reaches the target.  Returns the extension matching
     alone; None means reject.  The function keeps the name of the weighted
     version it replaced, under which perfbench's tracer probes it.
@@ -296,9 +299,11 @@ def extend_via_weighted_matching(
     if any(cut[r] == 1 for r in must):
         return None
 
+    mutual, ranks = inst.mutual, inst.ranks
     adj = [()] + [[] if i in matched else [
-        j for j in inst.prefs[i][: cut.get(i, _UNRANKED) - 1]
-        if j not in matched and inst.ranks[j].get(i, _UNRANKED) < cut.get(j, _UNRANKED)
+        j for j in mutual[i]
+        if j not in matched and (i not in cut or ranks[i][j] < cut[i])
+        and (j not in cut or ranks[j][i] < cut[j])
     ] for i in inst.agents()]
     mate = covering_matching(adj, must, target_size is not None)
     if mate is None:
@@ -437,13 +442,16 @@ def _restrict(inst: Instance, agents: list[int]) -> Instance:
     """The sub-instance on ascending agents; agents[i - 1] becomes agent i.
 
     Entries outside agents are dropped, as a ball's outer lists reach
-    distance three.  Every agent gives inst itself.
+    distance three.  Every agent gives inst itself.  Both ends of a pair
+    are kept or dropped together, so a validated inst's sub-instance reads
+    Instance.mutual off its lists too.
     """
     if len(agents) == inst.num_agents:
         return inst
     new = {a: i for i, a in enumerate(agents, start=1)}
     prefs = ((),) + tuple(tuple(new[j] for j in inst.prefs[a] if j in new) for a in agents)
-    return Instance(len(agents), prefs, inst.sides and tuple(inst.sides[a] for a in agents))
+    sub = Instance(len(agents), prefs, inst.sides and tuple(inst.sides[a] for a in agents))
+    return _inherit_mutual(sub, inst)
 
 
 def _parts(p: DeviatorProblem) -> tuple[list[tuple[_Sweep, list[int]]], list[int]]:
@@ -512,6 +520,8 @@ def _solve_in_parts(p: DeviatorProblem) -> SolveOutcome:
         if out is None:
             assert p.budget is not None, "the largest budget tolerates every candidate pair"
             return SolveOutcome.infeasible(_note(p))
+        if sweep.problem.instance is p.instance:  # the one part is the whole: out is the answer
+            return out
         total += out.value
         indices.append(out.certificate_note.rpartition("#")[2])
         pairs.update((ids[i - 1], ids[j - 1]) for i, j in out.matching.pairs)
@@ -539,8 +549,9 @@ def solve_bipartite_restriction(p: DeviatorProblem) -> Matching | None:
     agents = sorted(devs.union(*(prefs[d] for d in devs)))
     new = {a: i for i, a in enumerate(agents, start=1)}
     h = ((),) + tuple(tuple(new[j] for j in prefs[a] if a in devs or j in devs) for a in agents)
+    # H keeps or drops each edge from both its ends, so it is as mutual as p's instance
     try:
-        m = irving_sr(Instance(len(agents), h))
+        m = irving_sr(_inherit_mutual(Instance(len(agents), h), p.instance))
     except Unsolvable:
         return None
     return Matching(frozenset((agents[i - 1], agents[j - 1]) for i, j in m.pairs))

@@ -79,6 +79,29 @@ class TestInstanceValidation:
         validate_instance(inst)
         assert inst.d_max == 0
 
+    def test_a_validated_instance_reads_mutual_off_its_lists(self):
+        """mutual is prefs itself, as it stands when first read, and fills no rank table."""
+        inst = Instance(3, ((), (2, 3), (1,), (1,)), None)
+        fresh = Instance(3, inst.prefs, None)
+        validate_instance(inst)
+        swapped = tuple(inst.prefs)  # a later swap of prefs, as record_list_reads makes
+        object.__setattr__(inst, "prefs", swapped)
+        assert inst.mutual is swapped
+        assert len(inst.ranks) == 0
+        assert [fresh.mutual[i] for i in fresh.agents()] == [(2, 3), (1,), (1,)]
+        assert fresh.mutual is not fresh.prefs
+
+    @pytest.mark.parametrize("prefs, sides", [
+        (((), (2, 3), (1,), ()), None),  # agent 1 ranks 3, who ranks nobody
+        (((), (2,), (1,), ()), (0, 0, 1)),  # the last check, the sides, fails
+    ])
+    def test_an_instance_that_failed_validation_keeps_the_filtered_view(self, prefs, sides):
+        inst = Instance(3, prefs, sides)
+        with pytest.raises((AsymmetricAcceptability, SidedPairViolation)):
+            validate_instance(inst)
+        assert inst.mutual is not inst.prefs
+        assert [inst.mutual[i] for i in inst.agents()] == [(2,), (1,), ()]
+
     def test_variable_gadget_is_valid(self):
         inst = variable_gadget()
         validate_instance(inst)

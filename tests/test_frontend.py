@@ -650,6 +650,74 @@ def test_parsing_builds_no_rank_table():
     assert len(inst.ranks) == 0
 
 
+@pytest.mark.parametrize("objective", ["bp", "ba"])
+@pytest.mark.parametrize("flags", [["--k", "0"], ["--k", "1"], ["--optimize"]])
+def test_a_max_regime_solve_finds_the_maximum_size_once(tmp_path, capsys, monkeypatch,
+                                                        objective, flags):
+    """A one-part max-regime CLI solve runs the blossom search once.
+
+    The part is the whole instance: its search's target and the check of
+    the matching it accepts both read classic.max_cardinality_size, which
+    remembers the size on the instance.
+    """
+    from dataclasses import replace
+
+    from devmatch import classic, fpt
+
+    p = generate(GenSpec(n=60, list_cap=4, deviator_fraction=0.05, seed=7))
+    sweeps, idle = fpt._parts(replace(p, size_regime=SizeRegime.MAX_CARDINALITY))
+    assert [ids for _, ids in sweeps] == [list(p.instance.agents())] and not idle
+    path = tmp_path / "one-part.dsm"
+    path.write_text(fileio.serialize_instance(p.instance, p.deviators))
+    calls = []
+    matching = classic.max_cardinality_matching
+
+    def counted(instance):
+        calls.append(instance)
+        return matching(instance)
+
+    monkeypatch.setattr(classic, "max_cardinality_matching", counted)
+    monkeypatch.setattr(fpt, "max_cardinality_matching", counted)
+    code = main(["solve", str(path), "--regime", "max", "--objective", objective, *flags])
+    assert capsys.readouterr().out.splitlines()[-1].startswith(f"algorithm fpt-{objective}-max")
+    assert code == 0 or flags == ["--k", "0"]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("regime", ["any", "max"])
+def test_verify_fills_rank_tables_only_near_the_deviators(tmp_path, capsys, monkeypatch,
+                                                          regime):
+    """devmatch verify builds the rank tables of the deviators and their neighbours alone.
+
+    Acceptability is read off the lists and the maximum size off the
+    mutual view, which a parsed file keeps as its lists, so only the
+    deviator blocking scan reads rank tables.
+    """
+    from devmatch import classic
+
+    p = generate(GenSpec(n=400, list_cap=4, deviator_fraction=0.02, seed=5))
+    matching = classic.max_cardinality_matching(p.instance)
+    inst_path, match_path = tmp_path / "inst.dsm", tmp_path / "m.txt"
+    inst_path.write_text(fileio.serialize_instance(p.instance, p.deviators))
+    match_path.write_text(fileio.serialize_matching(matching))
+    parsed = []
+    parse = fileio.parse_instance
+
+    def captured(text):
+        result = parse(text)
+        parsed.append(result[0])
+        return result
+
+    monkeypatch.setattr(fileio, "parse_instance", captured)
+    assert main(["verify", str(inst_path), "--matching", str(match_path),
+                 "--regime", regime]) == 0
+    assert capsys.readouterr().out.startswith("ok value ")
+    [inst] = parsed
+    near = p.deviators.union(*(inst.prefs[d] for d in p.deviators))
+    assert 0 < len(near) < 40
+    assert set(inst.ranks) <= near
+
+
 @pytest.mark.parametrize("engine", ["fpt", "bipartite"])
 @pytest.mark.parametrize("objective", ["bp", "ba"])
 @pytest.mark.parametrize("flags", [["--k", "0"], ["--optimize"]])

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from devmatch import fpt
-from devmatch.core import Instance, Objective, SizeRegime, verify_solution
+from devmatch.core import Instance, Objective, SizeRegime, validate_instance, verify_solution
 from devmatch.fpt import PerfectInfeasible, optimize_fpt, solve_fpt
 from devmatch.generators import GenModel, GenSpec, generate
 from devmatch.oracle import oracle_solve
@@ -239,3 +239,26 @@ def test_split_matches_the_brute_force_reference():
             # only a part that is the whole instance, whose size is then read, fills a table
             if regime is SizeRegime.ANY or inst.num_agents not in map(len, parts):
                 assert len(inst.ranks) == 0
+
+
+def test_parts_of_a_validated_instance_read_mutual_off_their_lists():
+    """Cutting a part drops both ends of an entry together, so a validated instance's parts stay mutual.
+
+    Their Instance.mutual is their prefs, and a split in any regime fills
+    no rank table of the validated instance; an unvalidated instance's
+    parts keep the filtered view.
+    """
+    rng = random.Random(18)
+    for _ in range(60):
+        drawn = generate(GenSpec(n=rng.randint(2, 40), list_cap=rng.randint(1, 4),
+                                 deviator_fraction=0.2, seed=rng.getrandbits(32)))
+        n, prefs = drawn.instance.num_agents, drawn.instance.prefs
+        for regime in SizeRegime:
+            checked, fresh = Instance(n, prefs), Instance(n, prefs)
+            validate_instance(checked)
+            for inst in (checked, fresh):
+                sweeps, _ = fpt._parts(problem(inst, drawn.deviators, regime=regime))
+                for sweep, _ in sweeps:
+                    sub = sweep.problem.instance
+                    assert (sub.mutual is sub.prefs) == (inst is checked)
+            assert len(checked.ranks) == 0
