@@ -6,6 +6,8 @@ whose deviator-side instability stays within a budget, or how small that
 instability can get.  solve() picks the engine that answers a problem.
 """
 
+import importlib
+
 from .core import (
     BlockingReport,
     DeviatorProblem,
@@ -21,18 +23,36 @@ from .core import (
     validate_instance,
     verify_solution,
 )
-from .classic import (
-    WeightedGraph,
-    gale_shapley,
-    irving_sr,
-    max_cardinality_matching,
-    max_cardinality_size,
-    max_weight_matching,
-)
-from .fpt import optimize_fpt, solve_bipartite_restriction, solve_fpt
-from .generators import GenModel, GenSpec, generate
-from .oracle import OracleReport, enumerate_matchings, oracle_solve
-from .shortlist import decompose, solve_shortlist_any, solve_shortlist_max
+# The solver modules load on first use (PEP 562), so `import devmatch` costs core alone.
+_LAZY = {
+    "WeightedGraph": "classic",
+    "gale_shapley": "classic",
+    "irving_sr": "classic",
+    "max_cardinality_matching": "classic",
+    "max_cardinality_size": "classic",
+    "max_weight_matching": "classic",
+    "optimize_fpt": "fpt",
+    "solve_bipartite_restriction": "fpt",
+    "solve_fpt": "fpt",
+    "GenModel": "generators",
+    "GenSpec": "generators",
+    "generate": "generators",
+    "OracleReport": "oracle",
+    "enumerate_matchings": "oracle",
+    "oracle_solve": "oracle",
+    "decompose": "shortlist",
+    "solve_shortlist_any": "shortlist",
+    "solve_shortlist_max": "shortlist",
+}
+
+
+def __getattr__(name: str):
+    """A solver name of __all__, read from its module, imported on first use."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
 
 __all__ = [
     "BlockingReport",
@@ -109,6 +129,8 @@ def solve(problem: DeviatorProblem, engine: str = "auto", cap: int = 14) -> Solv
 
     # The refusals name the CLI's flags: devmatch solve prints them as usage errors.
     if engine == "shortlist":
+        from .shortlist import solve_shortlist_any, solve_shortlist_max
+
         if regime is SizeRegime.PERFECT:
             raise EngineUnsupported("the shortlist engine does not support --regime perfect")
         if regime is SizeRegime.ANY:
@@ -117,11 +139,15 @@ def solve(problem: DeviatorProblem, engine: str = "auto", cap: int = 14) -> Solv
     if engine == "bipartite":
         if regime is not SizeRegime.ANY:
             raise EngineUnsupported("the bipartite engine needs --regime any")
+        from .fpt import solve_bipartite_restriction
+
         matching = solve_bipartite_restriction(problem)
         if matching is None:
             return None
         return SolveOutcome.solution(matching, 0, "bipartite-restriction")
     if engine == "oracle":
+        from .oracle import oracle_solve
+
         report = oracle_solve(problem, cap=cap)
         optimum = (
             report.optimum_bp
@@ -135,4 +161,6 @@ def solve(problem: DeviatorProblem, engine: str = "auto", cap: int = 14) -> Solv
         )
     if engine != "fpt":
         raise EngineUnsupported(f"unknown engine {engine!r}")
+    from .fpt import optimize_fpt, solve_fpt
+
     return optimize_fpt(problem) if problem.budget is None else solve_fpt(problem)

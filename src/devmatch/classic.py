@@ -198,7 +198,13 @@ def max_cardinality_matching(instance: Instance) -> Matching:
                     break
     for _ in _blossom_search(adj, mate, range(1, n + 1)):
         pass
-    return Matching(frozenset((i, mate[i]) for i in range(1, n + 1) if i < mate[i]))
+    return _mate_matching(mate)
+
+
+def _mate_matching(mate: list[int]) -> Matching:
+    """The matching of a mate array (0: exposed), built without Matching's checks."""
+    partner = {i: j for i, j in enumerate(mate) if j}
+    return Matching._trusted(frozenset([(i, j) for i, j in partner.items() if i < j]), partner)
 
 
 def covering_matching(adj, must, maximum: bool) -> list[int] | None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import count
 
 
 class InstanceError(ValueError):
@@ -149,7 +150,7 @@ class Instance:
         many agents the instance has.
         """
         prefs = self.prefs
-        return _PerAgent(lambda i: {j: r for r, j in enumerate(prefs[i], start=1)})
+        return _PerAgent(lambda i: dict(zip(prefs[i], count(1))))
 
     @cached_property
     def mutual(self) -> dict[int, tuple[int, ...]] | tuple[tuple[int, ...], ...]:
@@ -220,10 +221,30 @@ def validate_instance(instance: Instance) -> None:
 
 @dataclass(frozen=True)
 class Matching:
-    """An agent-disjoint set of pairs; every agent not in a pair is unmatched."""
+    """An agent-disjoint set of pairs; every agent not in a pair is unmatched.
+
+    Matching(pairs) checks its pairs: no agent paired with itself and none
+    in two pairs.  It stores each pair smaller id first, with the partner
+    map _partner that every scan reads.  Matching._trusted skips those
+    checks and takes the partner map as given.  It is for the solvers'
+    own pairs, which are normalised and agent-disjoint by construction: a
+    blossom search's mate array, the configuration search's candidate
+    walk, and the union of two matchings on disjoint agents.  The search
+    builds several per configuration, so proving each again would cost
+    more than the scan that reads it.  Anything read from outside the
+    library goes through Matching(pairs).
+    """
 
     pairs: frozenset[tuple[int, int]]
     _partner: dict[int, int] = field(default=None, compare=False, repr=False)
+
+    @classmethod
+    def _trusted(cls, pairs: frozenset[tuple[int, int]], partner: dict[int, int]) -> Matching:
+        """The matching of pairs (each i < j, agent-disjoint) whose partner map is partner."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "pairs", pairs)
+        object.__setattr__(m, "_partner", partner)
+        return m
 
     def __post_init__(self):
         norm = set()

@@ -36,9 +36,10 @@ last part is only decided.
 
 Each part tries budgets 0, 1, 2, ... in turn.  What does not depend on the
 budget (the maximum matching size, the tolerated pool, the scanned
-candidate matchings, extension values) lives in the part's _Sweep, which
-hands itself to each budget's solve_fpt walk as the keyword-only _sweep
-argument; the module keeps no state between calls.  So each candidate
+candidate matchings with their share of that pool, extension values)
+lives in the part's _Sweep, which hands itself to each budget's solve_fpt
+walk as the keyword-only _sweep argument; the module keeps no state
+between calls.  So each candidate
 matching is built and scanned once per part, later budgets replay the
 kept ones, and a candidate whose floor exceeds the budget is skipped as
 one block, its configurations counted into the index without being built.
@@ -49,10 +50,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .classic import (
     Unsolvable,
+    _mate_matching,
     covering_matching,
     irving_sr,
     max_cardinality_matching,
@@ -130,8 +132,7 @@ def _deviator_matchings(inst: Instance, devs: list[int]):
     """
     options = [inst.mutual[d] + (None,) for d in devs]
     dev_set = frozenset(devs)
-    claimant: dict[int, int] = {}
-    taken: set[int] = set()
+    partner: dict[int, int] = {}  # both ends of every pair placed so far
     pairs: list[tuple[int, int]] = []
     placed: list[int | None] = []  # per placed deviator: the partner it took
     tried = [0] * len(devs)  # per deviator: options tried so far
@@ -139,10 +140,10 @@ def _deviator_matchings(inst: Instance, devs: list[int]):
     while True:
         pos = len(placed)
         if pos == len(devs):
-            yield Matching(frozenset(pairs))
+            yield Matching._trusted(frozenset(pairs), dict(partner))
         else:
             d = devs[pos]
-            must = claimant.get(d)
+            must = partner.get(d)  # a deviator that claimed d
             opts = options[pos]
             ok = False
             while not ok and tried[pos] < len(opts):
@@ -152,16 +153,11 @@ def _deviator_matchings(inst: Instance, devs: list[int]):
                     ok, took = c == must, None
                 elif c is None or c == d:
                     ok, took = True, None
-                elif c in dev_set:
-                    ok, took = c > d and c not in claimant, c
-                else:
-                    ok, took = c not in taken, c
+                else:  # a later deviator or a non-deviator, not yet paired
+                    ok, took = c not in partner and (c > d or c not in dev_set), c
             if ok:
-                if took in dev_set:
-                    claimant[took] = d
-                    pairs.append((d, took))
-                elif took is not None:
-                    taken.add(took)
+                if took is not None:
+                    partner[d], partner[took] = took, d
                     pairs.append((d, took) if d < took else (took, d))
                 placed.append(took)
                 continue
@@ -169,11 +165,8 @@ def _deviator_matchings(inst: Instance, devs: list[int]):
         if not placed:
             return
         took = placed.pop()
-        if took in dev_set:
-            del claimant[took]
-            pairs.pop()
-        elif took is not None:
-            taken.remove(took)
+        if took is not None:
+            del partner[devs[len(placed)]], partner[took]
             pairs.pop()
 
 
@@ -186,6 +179,11 @@ def _tolerable(p: DeviatorProblem) -> list:
     if p.objective is Objective.BLOCKING_AGENTS:
         return sorted(p.deviators)
     return sorted({(d, r) if d < r else (r, d) for d in p.deviators for r in p.instance.prefs[d]})
+
+
+def _free(pool: list, m_c: Matching, by_pairs: bool) -> list:
+    """The part of pool a tolerated set with m_c may hold: under bp, never a pair of m_c."""
+    return [b for b in pool if b not in m_c.pairs] if by_pairs else pool
 
 
 def enumerate_configurations(p: DeviatorProblem, k: int, *, _sweep: _Sweep | None = None):
@@ -201,21 +199,21 @@ def enumerate_configurations(p: DeviatorProblem, k: int, *, _sweep: _Sweep | Non
     objective).
 
     _sweep is internal: given a part's _Sweep, the candidate matchings come
-    scanned from it, each configuration carries its candidate's triggers,
-    and a candidate whose floor exceeds k yields nothing.  Its
-    configurations still count in the index, so every index is the one the
-    full stream gives.
+    scanned from it, each with the pool its tolerated sets are drawn from,
+    computed once when the candidate is scanned, so no later budget builds
+    it again.  Each configuration carries its candidate's triggers, and a
+    candidate whose floor exceeds k yields nothing.  Its configurations
+    still count in the index, so every index is the one the full stream
+    gives.
     """
-    by_pairs = p.objective is Objective.BLOCKING_PAIRS
     if _sweep is None:
-        pool = _tolerable(p)
-        scanned = ((m_c, None, 0) for m_c in _deviator_matchings(p.instance, sorted(p.deviators)))
+        pool, by_pairs = _tolerable(p), p.objective is Objective.BLOCKING_PAIRS
+        scanned = ((m_c, None, 0, _free(pool, m_c, by_pairs))
+                   for m_c in _deviator_matchings(p.instance, sorted(p.deviators)))
     else:
-        pool, scanned = _sweep.pool, _sweep.scanned()
+        scanned = _sweep.scanned()
     index = 0
-    for m_c, triggers, floor in scanned:
-        # under bp a tolerated set never holds a pair of m_c
-        free = [b for b in pool if b not in m_c.pairs] if by_pairs else pool
+    for m_c, triggers, floor, free in scanned:
         if floor > k:
             index += sum(math.comb(len(free), size) for size in range(k + 1))
             continue
@@ -225,15 +223,15 @@ def enumerate_configurations(p: DeviatorProblem, k: int, *, _sweep: _Sweep | Non
                 index += 1
 
 
-def _scan(p: DeviatorProblem, m_c: Matching) -> tuple[list, int]:
-    """A candidate matching's triggers and floor: core._triggers over the sorted deviators.
+def _scan(p: DeviatorProblem, m_c: Matching, devs: list[int]) -> tuple[list, int]:
+    """A candidate matching's triggers and floor: core._triggers over devs, the sorted deviators.
 
     A breaking trigger (d, r, back, breaks) is a blocking pair of M_C whose
     end across from d keeps its partner in every completion, so it blocks
     whatever the tolerated set: the floor counts those pairs, or the
     deviators in them under the agent objective.
     """
-    triggers = _triggers(p.instance, m_c._partner, sorted(p.deviators))
+    triggers = _triggers(p.instance, m_c._partner, devs)
     locked = {(d, r) if d < r else (r, d) for d, r, _, breaks in triggers if breaks}
     if p.objective is Objective.BLOCKING_AGENTS:
         locked = {a for pair in locked for a in pair} & p.deviators
@@ -286,10 +284,13 @@ def extend_via_weighted_matching(
     (maximum-cardinality and perfect regimes) then augments from every
     other exposed agent, so the augmenting order does what the weights
     n + |e ∩ Q| (|e ∩ Q| without a target) of a weighted matching used
-    to: maximum cardinality first, Q covered second.  The result is rejected unless all of Q is matched and
-    the combined size reaches the target.  Returns the extension matching
-    alone; None means reject.  The function keeps the name of the weighted
-    version it replaced, under which perfbench's tracer probes it.
+    to: maximum cardinality first, Q covered second.  The result is
+    rejected unless all of Q is matched and the combined size reaches the
+    target.  Without a target and with Q empty the extension is the empty
+    matching, returned before any adjacency is built.  Returns the
+    extension matching alone; None means reject.  The function keeps the
+    name of the weighted version it replaced, under which perfbench's
+    tracer probes it.
     """
     inst = p.instance
     cut = trunc.cut
@@ -298,6 +299,8 @@ def extend_via_weighted_matching(
     must = [r for r in sorted(cut) if r not in matched]
     if any(cut[r] == 1 for r in must):
         return None
+    if not must and target_size is None:
+        return Matching._trusted(frozenset(), {})
 
     mutual, ranks = inst.mutual, inst.ranks
     adj = [()] + [[] if i in matched else [
@@ -308,7 +311,7 @@ def extend_via_weighted_matching(
     mate = covering_matching(adj, must, target_size is not None)
     if mate is None:
         return None
-    m_ext = Matching(frozenset((i, mate[i]) for i in inst.agents() if i < mate[i]))
+    m_ext = _mate_matching(mate)
     if target_size is not None and len(m_c.pairs) + len(m_ext.pairs) < target_size:
         return None
     return m_ext
@@ -319,20 +322,23 @@ class _Sweep:
     """The budget-independent part of one part's search, shared by its budgets.
 
     search hands the sweep to each budget's solve_fpt walk as its _sweep
-    argument.  problem is the part's problem with its budget left out.
-    target is the maximum matching size (None in the any-size regime), and
-    pool the tolerated sets' pool.  values maps a memo key (candidate
-    matching, cut) to the value of its extension, or to None when the
-    extension is rejected.  It depends on the configuration alone, so every
+    argument.  problem is the part's problem, with no budget.  target is
+    the maximum matching size (None in the any-size regime), and pool the
+    tolerated sets' pool.  values maps a memo key (candidate matching, cut)
+    to the value of its extension, or to None when the extension is
+    rejected.  It depends on the configuration alone, so every
     budget reuses it.  Only values are kept, not matchings, which in the
     maximum-cardinality regime span the whole part: an extension is redone
     only when its value fits the budget, which ends the search.
 
     Each candidate matching is walked and scanned once per sweep: walk is
-    the one _deviator_matchings walk the budgets share, and kept holds its
-    scanned entries (m_c, triggers, floor) while keep is set, which search
-    does whenever another budget follows.  A later budget replays kept and
-    then goes on with walk, so a sweep that is only decided keeps nothing.
+    the one _deviator_matchings walk the budgets share, over the deviators
+    sorted once, and kept holds its scanned entries (m_c, triggers, floor,
+    free) while keep is set, which search does whenever another budget
+    follows.  free is the part of pool the candidate's tolerated sets are
+    drawn from, built when the candidate is scanned.  A later budget replays
+    kept and then goes on with walk, so a sweep that is only decided keeps
+    nothing.
     """
 
     problem: DeviatorProblem
@@ -345,17 +351,19 @@ class _Sweep:
 
     def __post_init__(self):
         p = self.problem
-        self.pool = _tolerable(p)
+        pool = self.pool = _tolerable(p)
+        by_pairs, devs = p.objective is Objective.BLOCKING_PAIRS, sorted(p.deviators)
         # a walk over p, not self, so a finished sweep is freed without the cyclic collector
-        matchings = _deviator_matchings(p.instance, sorted(p.deviators))
-        self.walk = ((m_c, *_scan(p, m_c)) for m_c in matchings)
+        self.walk = ((m_c, *_scan(p, m_c, devs), _free(pool, m_c, by_pairs))
+                     for m_c in _deviator_matchings(p.instance, devs))
 
     @classmethod
     def of(cls, p: DeviatorProblem) -> "_Sweep":
+        """The sweep of p, a part's problem with no budget."""
         target = None
         if p.size_regime is not SizeRegime.ANY:
             target = max_cardinality_size(p.instance)
-        return cls(replace(p, budget=None), target)
+        return cls(p, target)
 
     def scanned(self):
         """Every candidate matching's entry: the kept ones, then the rest of the shared walk."""
@@ -368,9 +376,11 @@ class _Sweep:
 
     def search(self, budgets) -> SolveOutcome | None:
         """The outcome at the first of budgets that works, or None; each walk gets this sweep."""
+        p = self.problem
         for t, k in enumerate(budgets, start=1):
             self.keep = t < len(budgets)
-            out = solve_fpt(replace(self.problem, budget=k), _sweep=self)
+            at_k = DeviatorProblem(p.instance, p.deviators, p.objective, p.size_regime, k)
+            out = solve_fpt(at_k, _sweep=self)
             if out.feasible:
                 return out
         return None
@@ -412,7 +422,8 @@ def solve_fpt(p: DeviatorProblem, *, _sweep: _Sweep | None = None) -> SolveOutco
         if m_ext is None:
             sweep.values[key] = None
             continue
-        combined = Matching(m_c.pairs | m_ext.pairs)
+        # the extension leaves m_c's agents alone, so the two are disjoint
+        combined = Matching._trusted(m_c.pairs | m_ext.pairs, {**m_c._partner, **m_ext._partner})
         value = objective_value(blocking_report(p.instance, combined, p.deviators), p.objective)
         sweep.values[key] = value
         if value <= k and (
@@ -489,8 +500,9 @@ def _parts(p: DeviatorProblem) -> tuple[list[tuple[_Sweep, list[int]]], list[int
             parts[label[a]].append(a)
         else:
             idle.append(a)
-    return [(_Sweep.of(replace(p, instance=_restrict(inst, c),
-                               deviators={i for i, a in enumerate(c, 1) if a in devs})), c)
+    return [(_Sweep.of(DeviatorProblem(_restrict(inst, c),
+                                       {i for i, a in enumerate(c, 1) if a in devs},
+                                       p.objective, p.size_regime)), c)
             for c in parts.values()], idle
 
 
@@ -501,9 +513,11 @@ def _solve_in_parts(p: DeviatorProblem) -> SolveOutcome:
     left and the last is only decided at it, so one part is one walk.
     """
     sweeps, idle = _parts(p)
-    m = max_cardinality_matching(_restrict(p.instance, idle)) if idle else Matching(frozenset())
-    pairs = {(idle[i - 1], idle[j - 1]) for i, j in m.pairs}
-    if p.size_regime is SizeRegime.PERFECT and (2 * len(pairs) != len(idle) or any(
+    partner: dict[int, int] = {}  # the whole's partner map, joined from the parts' disjoint ones
+    if idle:
+        m = max_cardinality_matching(_restrict(p.instance, idle))
+        partner.update([(idle[i - 1], idle[j - 1]) for i, j in m._partner.items()])
+    if p.size_regime is SizeRegime.PERFECT and (len(partner) != len(idle) or any(
         2 * s.target != s.problem.instance.num_agents for s, _ in sweeps
     )):
         if p.budget is None:
@@ -524,10 +538,11 @@ def _solve_in_parts(p: DeviatorProblem) -> SolveOutcome:
             return out
         total += out.value
         indices.append(out.certificate_note.rpartition("#")[2])
-        pairs.update((ids[i - 1], ids[j - 1]) for i, j in out.matching.pairs)
+        partner.update([(ids[i - 1], ids[j - 1]) for i, j in out.matching._partner.items()])
     # Parts all accepted at their configuration #0, or no parts, make up the whole's #0.
     index = "0" if set(indices) <= {"0"} else "+".join(indices)
-    return SolveOutcome.solution(Matching(frozenset(pairs)), total, _note(p, index))
+    pairs = frozenset([(i, j) for i, j in partner.items() if i < j])
+    return SolveOutcome.solution(Matching._trusted(pairs, partner), total, _note(p, index))
 
 
 def solve_bipartite_restriction(p: DeviatorProblem) -> Matching | None:

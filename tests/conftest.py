@@ -52,6 +52,24 @@ def problem(
     return DeviatorProblem(inst, frozenset(deviators), objective, regime, budget)
 
 
+def with_one_sided_entries(inst: Instance, rng: random.Random, count: int) -> Instance | None:
+    """inst with count one-sided entries: j put on i's list, at a random place.
+
+    Each entry comes from its own pair {i, j} that neither end ranks, so
+    none becomes mutual.  Returns None when no such pair exists.
+    """
+    prefs = [list(lst) for lst in inst.prefs]
+    pairs = [(i, j) for i in inst.agents() for j in range(i + 1, inst.num_agents + 1)
+             if j not in prefs[i]]
+    if not pairs:
+        return None
+    for i, j in rng.sample(pairs, min(count, len(pairs))):
+        if rng.random() < 0.5:
+            i, j = j, i
+        prefs[i].insert(rng.randint(0, len(prefs[i])), j)
+    return Instance(inst.num_agents, tuple(map(tuple, prefs)), inst.sides)
+
+
 def random_matching(inst: Instance, seed: int) -> Matching:
     """A random valid matching: shuffled greedy fill over mutual pairs."""
     rng = random.Random(seed)

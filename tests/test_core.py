@@ -124,12 +124,14 @@ class TestMatching:
         assert m.partner_of(3) == 3  # unmatched maps to itself
 
     def test_agent_reuse_rejected(self):
-        with pytest.raises(ValueError):
-            Matching(frozenset({(1, 2), (2, 3)}))
+        for pairs in ({(1, 2), (2, 3)}, {(2, 1), (1, 3)}, {(3, 1), (2, 3)}):
+            with pytest.raises(ValueError, match="appears in two pairs"):
+                Matching(frozenset(pairs))
 
     def test_self_pair_rejected(self):
-        with pytest.raises(ValueError):
-            Matching(frozenset({(1, 1)}))
+        for pairs in ({(1, 1)}, {(1, 2), (3, 3)}):
+            with pytest.raises(ValueError, match="cannot be paired with itself"):
+                Matching(frozenset(pairs))
 
     def test_size_and_perfect(self):
         inst = Instance(2, ((), (2,), (1,)), None)

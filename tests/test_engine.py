@@ -18,7 +18,7 @@ from devmatch.generators import GenModel, GenSpec, generate
 from devmatch.oracle import oracle_solve
 from devmatch.shortlist import ListTooLong
 
-from conftest import problem
+from conftest import problem, with_one_sided_entries
 
 DRAWS = [
     (GenModel.SRI_UNIFORM, 3),
@@ -119,24 +119,6 @@ def test_a_drawn_engine_agrees_with_the_oracle(n, seed, model, cap, frac, engine
             for budget in (None, 0, 1, 2):
                 p = problem(inst, deviators, objective, regime, budget)
                 check_engine(p, engine, optimum(report, objective))
-
-
-def with_one_sided_entries(inst: Instance, rng: random.Random, count: int) -> Instance | None:
-    """inst with count one-sided entries: j put on i's list, at a random place.
-
-    Each entry comes from its own pair {i, j} that neither end ranks, so
-    none becomes mutual.  Returns None when no such pair exists.
-    """
-    prefs = [list(lst) for lst in inst.prefs]
-    pairs = [(i, j) for i in inst.agents() for j in range(i + 1, inst.num_agents + 1)
-             if j not in prefs[i]]
-    if not pairs:
-        return None
-    for i, j in rng.sample(pairs, min(count, len(pairs))):
-        if rng.random() < 0.5:
-            i, j = j, i
-        prefs[i].insert(rng.randint(0, len(prefs[i])), j)
-    return Instance(inst.num_agents, tuple(map(tuple, prefs)), inst.sides)
 
 
 def test_one_sided_entries_count_as_absent_in_every_solver():
@@ -262,3 +244,23 @@ def test_solving_loads_no_networkx():
         capture_output=True, text=True, timeout=120, check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_importing_the_package_loads_core_alone():
+    """The solver modules load on first use, and every name in __all__ resolves."""
+    code = (
+        "import sys, devmatch\n"
+        "lazy = ('classic', 'fpt', 'generators', 'oracle', 'shortlist')\n"
+        "print([m for m in lazy if f'devmatch.{m}' in sys.modules])\n"
+        "from devmatch import optimize_fpt\n"
+        "print(optimize_fpt.__module__, 'devmatch.shortlist' in sys.modules)\n"
+        "print(all(getattr(devmatch, name) is not None for name in devmatch.__all__))\n"
+        "print(hasattr(devmatch, 'no_such_name'))\n"
+    )
+    src = str(Path(devmatch.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.split("\n")[:4] == ["[]", "devmatch.fpt False", "True", "False"]
+

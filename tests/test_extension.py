@@ -6,14 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devmatch import fpt
-from devmatch.classic import WeightedGraph, max_cardinality_size, max_weight_matching
-from devmatch.core import Objective, SizeRegime
+from devmatch.classic import (
+    WeightedGraph,
+    covering_matching,
+    max_cardinality_size,
+    max_weight_matching,
+)
+from devmatch.core import Instance, Matching, Objective, SizeRegime
 from devmatch.fpt import (
+    CandidateConfiguration,
     enumerate_configurations,
     extend_via_weighted_matching,
     truncate_and_collect,
 )
 from devmatch.generators import GenModel, GenSpec, generate
+
+from conftest import problem
 
 _UNRANKED = 1 << 30
 
@@ -98,7 +106,8 @@ def check_extensions(p, k):
     target = None if p.size_regime is SizeRegime.ANY else max_cardinality_size(p.instance)
     near = ball(p)
     for cfg in enumerate_configurations(p, k):
-        trunc = truncate_and_collect(p, cfg, fpt._scan(p, cfg.candidate_matching)[0])
+        triggers = fpt._scan(p, cfg.candidate_matching, sorted(p.deviators))[0]
+        trunc = truncate_and_collect(p, cfg, triggers)
         if trunc.rejected:
             continue
         reference = weighted_extension(p, trunc, target)
@@ -117,3 +126,33 @@ def check_extensions(p, k):
         else:
             assert len(native.pairs) == len(reference.pairs)
             assert len(m_c.pairs | native.pairs) >= target
+
+
+def test_nothing_to_cover_needs_no_matching_without_a_target(monkeypatch):
+    """An any-regime configuration with no must-match agent extends by the empty matching.
+
+    On the path 1-2-3-4 with deviator 2 matched to its first choice 1,
+    nothing is cut.  Without a target the extension is empty and no
+    covering_matching runs; in the max regime it still runs, and matches
+    3 with 4 to reach the maximum size.
+    """
+    calls = []
+
+    def counted(adj, must, maximum):
+        calls.append(maximum)
+        return covering_matching(adj, must, maximum)
+
+    monkeypatch.setattr(fpt, "covering_matching", counted)
+    inst = Instance(4, ((), (2,), (1, 3), (2, 4), (3,)))
+    for regime, target, want in (
+        (SizeRegime.ANY, None, frozenset()),
+        (SizeRegime.MAX_CARDINALITY, 2, frozenset({(3, 4)})),
+    ):
+        p = problem(inst, {2}, regime=regime, budget=0)
+        cfg = CandidateConfiguration(Matching(frozenset({(1, 2)})), frozenset(), 0)
+        trunc = truncate_and_collect(p, cfg, fpt._scan(p, cfg.candidate_matching, [2])[0])
+        assert trunc.cut == {} and not trunc.rejected
+        m_ext = extend_via_weighted_matching(p, trunc, target)
+        assert (m_ext.pairs, m_ext._partner) == (want, Matching(want)._partner)
+    assert calls == [True]
+

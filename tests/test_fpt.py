@@ -39,6 +39,7 @@ from conftest import (
     problem,
     record_list_reads,
     variable_gadget,
+    with_one_sided_entries,
 )
 
 ODD_PATH = Instance(3, ((), (2,), (1, 3), (2,)), None)
@@ -143,13 +144,18 @@ def test_enumeration_matches_product_then_filter(n, seed, frac, cap, model, obje
     assert got == reference_configurations(p, k)
 
 
+def triggers_of(p, cfg):
+    """The triggers of cfg's candidate matching, as the search scans them."""
+    return fpt._scan(p, cfg.candidate_matching, sorted(p.deviators))[0]
+
+
 class TestTruncation:
     def test_tolerated_matched_pair_is_rejected(self):
         p = problem(ordered_cycle(3), {1, 2, 3}, budget=1)
         cfg = CandidateConfiguration(
             Matching(frozenset({(1, 2)})), frozenset({(1, 2)}), 0
         )
-        res = truncate_and_collect(p, cfg, fpt._scan(p, cfg.candidate_matching)[0])
+        res = truncate_and_collect(p, cfg, triggers_of(p, cfg))
         assert res.rejected
         assert res.reason == "tolerated pair is matched"
         assert res.configuration is cfg
@@ -157,7 +163,7 @@ class TestTruncation:
     def test_collects_and_truncates_preferred_agents(self):
         p = problem(ODD_PATH, {2}, budget=0)
         cfg = CandidateConfiguration(Matching(frozenset({(2, 3)})), frozenset(), 1)
-        res = truncate_and_collect(p, cfg, fpt._scan(p, cfg.candidate_matching)[0])
+        res = truncate_and_collect(p, cfg, triggers_of(p, cfg))
         assert not res.rejected
         assert res.cut.keys() == {1}
         assert res.cut == {1: 1}
@@ -170,7 +176,7 @@ class TestTruncation:
         cfg = CandidateConfiguration(
             Matching(frozenset({(1, 3), (2, 4)})), frozenset(), 0
         )
-        res = truncate_and_collect(p, cfg, fpt._scan(p, cfg.candidate_matching)[0])
+        res = truncate_and_collect(p, cfg, triggers_of(p, cfg))
         assert res.rejected
         assert res.reason == "matched pair (1, 3) falls to the truncation of 3"
         assert res.cut.keys() == {3}
@@ -181,7 +187,7 @@ class TestTruncation:
         cfg = CandidateConfiguration(
             Matching(frozenset({(1, 3), (2, 4)})), frozenset({(2, 3)}), 0
         )
-        res = truncate_and_collect(p, cfg, fpt._scan(p, cfg.candidate_matching)[0])
+        res = truncate_and_collect(p, cfg, triggers_of(p, cfg))
         assert not res.rejected
         assert not res.cut
 
@@ -189,7 +195,7 @@ class TestTruncation:
 def test_extension_fails_when_required_agent_cannot_match():
     p = problem(ODD_PATH, {2}, budget=0)
     cfg = CandidateConfiguration(Matching(frozenset({(2, 3)})), frozenset(), 1)
-    res = truncate_and_collect(p, cfg, fpt._scan(p, cfg.candidate_matching)[0])
+    res = truncate_and_collect(p, cfg, triggers_of(p, cfg))
     assert extend_via_weighted_matching(p, res, None) is None
 
 
@@ -232,16 +238,16 @@ def test_scan_agrees_with_the_blocking_report(n, seed, frac, cap, model, objecti
     prob = generate(GenSpec(n=n, model=model, list_cap=cap, deviator_fraction=frac, seed=seed))
     assume(len(prob.deviators) <= 5)
     p = problem(prob.instance, prob.deviators, objective=objective, budget=1)
-    for m_c in fpt._deviator_matchings(p.instance, sorted(p.deviators)):
+    devs = sorted(p.deviators)
+    for m_c in fpt._deviator_matchings(p.instance, devs):
         locked = locked_pairs(p, m_c)
         if objective is Objective.BLOCKING_AGENTS:
             locked = {a for pair in locked for a in pair} & p.deviators
-        assert fpt._scan(p, m_c)[1] == len(locked)
+        assert fpt._scan(p, m_c, devs)[1] == len(locked)
     if objective is Objective.BLOCKING_PAIRS:
         for cfg in enumerate_configurations(p, 1):
-            m_c = cfg.candidate_matching
-            res = truncate_and_collect(p, cfg, fpt._scan(p, m_c)[0])
-            assert res.rejected == (not locked_pairs(p, m_c) <= cfg.blocked_set)
+            res = truncate_and_collect(p, cfg, triggers_of(p, cfg))
+            assert res.rejected == (not locked_pairs(p, cfg.candidate_matching) <= cfg.blocked_set)
 
 
 @settings(max_examples=150, deadline=None)
@@ -274,7 +280,7 @@ def test_sweep_walks_are_the_floor_filtered_stream(
         want = []
         for c in enumerate_configurations(p, k):
             m_c = c.candidate_matching
-            triggers, floor = fpt._scan(p, m_c)
+            triggers, floor = fpt._scan(p, m_c, sorted(p.deviators))
             if floor <= k:
                 want.append((m_c.pairs, c.blocked_set, c.index, triggers))
         sweep.keep = k < 2
@@ -290,6 +296,47 @@ def test_sweep_walks_are_the_floor_filtered_stream(
     decided = fpt._Sweep.of(p)
     decided.search((1,))
     assert decided.kept == []
+
+
+def test_trusted_matchings_equal_checked_ones(monkeypatch):
+    """Every matching the search builds unchecked is the one Matching(pairs) builds.
+
+    Seeded SRI and SMI draws, n 4-12, half deviators, each also with 1-3
+    one-sided entries.  Every matching built through Matching._trusted is
+    compared, after the walk or the solve has ended: the deviator walk's
+    candidate matchings, and what optimize_fpt builds in every regime and
+    objective (extensions, combined and joined matchings, the idle agents'
+    maximum matching).
+    """
+    built = []
+    trusted = Matching._trusted
+
+    def recorded(cls, pairs, partner):
+        built.append(trusted(pairs, partner))
+        return built[-1]
+
+    monkeypatch.setattr(Matching, "_trusted", classmethod(recorded))
+    rng = random.Random(20261020)
+    seen = 0
+    for seed in range(40):
+        for model in (GenModel.SRI_UNIFORM, GenModel.SMI_UNIFORM):
+            drawn = generate(GenSpec(n=rng.randint(4, 12), model=model, list_cap=rng.randint(2, 4),
+                                     deviator_fraction=0.5, seed=seed))
+            one_sided = with_one_sided_entries(drawn.instance, rng, rng.randint(1, 3))
+            for inst in filter(None, (drawn.instance, one_sided)):
+                walked = list(fpt._deviator_matchings(inst, sorted(drawn.deviators)))
+                for regime, objective in itertools.product(SizeRegime, Objective):
+                    try:
+                        optimize_fpt(problem(inst, drawn.deviators, objective, regime))
+                    except PerfectInfeasible:
+                        pass
+                assert walked and built
+                for m in built:
+                    checked = Matching(m.pairs)
+                    assert (m.pairs, m._partner) == (checked.pairs, checked._partner)
+                    seen += bool(m.pairs)
+                built.clear()
+    assert seen > 1000
 
 
 class TestSolveFpt:
