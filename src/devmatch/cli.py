@@ -5,7 +5,8 @@ Subcommands: validate, solve, oracle, verify, gen, and reduce
 1 infeasible or verification failed, 2 usage error, 3 unreadable or invalid
 input.  Output is deterministic for identical invocations.  solve leaves the
 choice of engine to devmatch.solve and only parses, prints and maps errors
-to exit codes.
+to exit codes.  The solver, generator, oracle and reduction modules are
+imported by the subcommands that use them, so a call pays only for its own.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import functools
 import sys
 from pathlib import Path
 
-from . import ENGINES, EngineUnsupported, fileio, fpt, oracle, reductions, shortlist, solve
+from . import ENGINES, EngineUnsupported, fileio, solve
 from .core import (
     DeviatorProblem,
     InstanceError,
@@ -25,13 +26,8 @@ from .core import (
     checked_value,
     verify_solution,  # noqa: F401 -- kept importable as cli.verify_solution for perfbench
 )
-from .generators import GenModel, GenSpec, InfeasibleSpec, generate
 
-_MODELS = {
-    "sri": GenModel.SRI_UNIFORM,
-    "smi": GenModel.SMI_UNIFORM,
-    "pathcycle": GenModel.PATH_CYCLE_ONLY,
-}
+_MODELS = ("pathcycle", "smi", "sri")  # the GenModel values
 
 
 def _budget(text: str) -> int:
@@ -83,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random instance")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--model", choices=sorted(_MODELS), default="sri")
+    p.add_argument("--model", choices=_MODELS, default="sri")
     p.add_argument("--list-cap", type=int, default=3)
     p.add_argument("--deviator-fraction", type=float, default=0.25)
     p.add_argument("--seed", type=int, default=0)
@@ -140,11 +136,15 @@ def _run_solve(args, parser) -> int:
     problem = _problem(args)  # budget None (no --k) means optimize
     try:
         outcome = solve(problem, args.engine, args.max_oracle)
-    except fpt.PerfectInfeasible as exc:
-        print(f"infeasible: {exc}")
-        return 1
     except EngineUnsupported as exc:
         parser.error(str(exc))
+    except ValueError as exc:
+        from .fpt import PerfectInfeasible  # raised only once fpt is loaded
+
+        if not isinstance(exc, PerfectInfeasible):
+            raise
+        print(f"infeasible: {exc}")
+        return 1
     if outcome is None:
         print("not applicable")
         return 1
@@ -162,8 +162,10 @@ def _run_solve(args, parser) -> int:
 
 
 def _run_oracle(args) -> int:
+    from .oracle import oracle_solve
+
     problem = _problem(args)
-    report = oracle.oracle_solve(problem, cap=args.max_oracle)
+    report = oracle_solve(problem, cap=args.max_oracle)
     max_size, perfect = report.regime_sizes
     print(f"max_size {max_size}")
     print(f"perfect_exists {'true' if perfect else 'false'}")
@@ -193,19 +195,27 @@ def _run_verify(args) -> int:
 
 
 def _run_gen(args) -> int:
+    from .generators import GenModel, GenSpec, InfeasibleSpec, generate
+
     spec = GenSpec(
         n=args.n,
-        model=_MODELS[args.model],
+        model=GenModel(args.model),
         list_cap=args.list_cap,
         deviator_fraction=args.deviator_fraction,
         seed=args.seed,
     )
-    problem = generate(spec)
+    try:
+        problem = generate(spec)
+    except InfeasibleSpec as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     _emit(fileio.serialize_instance(problem.instance, problem.deviators), args.out)
     return 0
 
 
 def _run_reduce(args) -> int:
+    from . import reductions
+
     if args.kind == "sat2smi":
         formula = reductions.parse_cnf_22e3(_read(args.cnf))
         problem, index = reductions.sat_to_perfect_smi(formula)
@@ -240,6 +250,28 @@ def _run_reduce(args) -> int:
     return 0
 
 
+def _input_errors() -> tuple[type[Exception], ...]:
+    """The errors main reports with exit 3: unreadable or invalid input, or beyond an engine.
+
+    An except clause evaluates this only once an exception is raised, so a
+    call that succeeds loads none of the modules imported here.
+    """
+    from . import oracle, reductions, shortlist
+
+    return (
+        fileio.SyntaxError,
+        InstanceError,
+        reductions.CnfError,
+        reductions.RegimeUnsupported,
+        reductions.BudgetTooLarge,
+        reductions.OutputTooLarge,
+        oracle.TooLarge,
+        shortlist.ListTooLong,
+        OSError,
+        UnicodeDecodeError,
+    )
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -260,23 +292,9 @@ def main(argv=None) -> int:
         if args.command == "gen":
             return _run_gen(args)
         return _run_reduce(args)
-    except (
-        fileio.SyntaxError,
-        InstanceError,
-        reductions.CnfError,
-        reductions.RegimeUnsupported,
-        reductions.BudgetTooLarge,
-        reductions.OutputTooLarge,
-        oracle.TooLarge,
-        shortlist.ListTooLong,
-        OSError,
-        UnicodeDecodeError,
-    ) as exc:
+    except _input_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InfeasibleSpec as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -104,12 +104,28 @@ class Instance:
     Construction performs shape checks only (list count, id ranges); the
     semantic invariants live in validate_instance so that malformed data can
     still be constructed and then rejected with a precise error.
+    Instance._trusted skips the shape checks and the copies they make.  It
+    is for lists the library has just built and range-checked itself:
+    fileio.parse_instance, before its validate_instance call, and fpt's
+    sub-instances relabelled from a constructed instance (the search's
+    parts and the zero certificate's H).  Anything else, from inside the
+    library or out, goes through Instance(...).
     """
 
     num_agents: int
     prefs: tuple[tuple[int, ...], ...]
     sides: tuple[int, ...] | None = None
     _all_mutual = False  # not a field: set once every entry is known to rank its agent back
+
+    @classmethod
+    def _trusted(cls, num_agents: int, prefs: tuple[tuple[int, ...], ...],
+                 sides: tuple[int, ...] | None = None) -> Instance:
+        """The instance of prefs (tuples, ids in 1..num_agents, () first) and sides (0 first)."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "num_agents", num_agents)
+        object.__setattr__(inst, "prefs", prefs)
+        object.__setattr__(inst, "sides", sides)
+        return inst
 
     def __post_init__(self):
         n = self.num_agents
@@ -388,6 +404,12 @@ class DeviatorProblem:
                 raise ValueError(f"deviator {d} is not an agent id")
         if self.budget is not None and self.budget < 0:
             raise ValueError("budget must be non-negative")
+
+    def _with_budget(self, budget: int) -> DeviatorProblem:
+        """This problem at a non-negative budget, its deviators taken as already checked."""
+        p = object.__new__(type(self))
+        p.__dict__.update(self.__dict__, budget=budget)
+        return p
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,13 @@ class SyntaxError(ValueError):  # noqa: A001 - file-format error, line-addressed
         self.line = line
 
 
-def _tokens(text: str):
-    """Yield (line_number, tokens) for non-blank, comment-stripped lines."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.split("#", 1)[0].split()  # split() drops the edges' whitespace too
-        if toks:
-            yield lineno, toks
+def _tokens(text: str) -> list[tuple[int, list[str]]]:
+    """(line_number, tokens) for each non-blank, comment-stripped line."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    # split() drops the edges' whitespace too
+    return [(lineno, toks) for lineno, toks in enumerate(map(str.split, lines), start=1) if toks]
 
 
 def _int(tok: str, lineno: int) -> int:
@@ -47,9 +48,10 @@ def parse_instance(text: str) -> tuple[Instance, frozenset[int]]:
 
     Grammar errors are fileio.SyntaxError at their line; the semantic
     checks are validate_instance's, which builds no rank table, so the
-    returned instance.ranks is empty until a solver reads it.
+    returned instance.ranks is empty until a solver reads it.  The lists
+    are range-checked here, so the instance is built by Instance._trusted.
     """
-    lines = list(_tokens(text))
+    lines = _tokens(text)
     if not lines:
         raise SyntaxError(1, "empty input")
     pos = 0
@@ -84,7 +86,7 @@ def parse_instance(text: str) -> tuple[Instance, frozenset[int]]:
         lineno, toks = lines[pos]
         if len(toks) != 2 or len(toks[1]) != n or set(toks[1]) - {"0", "1"}:
             raise SyntaxError(lineno, f"expected 'sides' with {n} characters of 0/1")
-        sides = tuple(int(ch) for ch in toks[1])
+        sides = (0,) + tuple(int(ch) for ch in toks[1])
         pos += 1
 
     # Checked before anything is sized by n, so a huge count fails here.
@@ -94,22 +96,24 @@ def parse_instance(text: str) -> tuple[Instance, frozenset[int]]:
     for lineno, toks in lines[pos:]:
         if toks[0] != "prefs" or len(toks) < 2 or not toks[1].endswith(":"):
             raise SyntaxError(lineno, "expected 'prefs <id>: <id>*'")
-        agent = _int(toks[1][:-1], lineno)
+        try:
+            agent, entries = int(toks[1][:-1]), tuple(map(int, toks[2:]))
+        except ValueError:  # _int names the first bad token, once the agent's checks pass
+            agent, entries = _int(toks[1][:-1], lineno), None
         if not 1 <= agent <= n:
             raise SyntaxError(lineno, f"agent id {agent} out of range 1..{n}")
         if prefs[agent] is not None:
             raise SyntaxError(lineno, f"duplicate prefs line for agent {agent}")
-        try:
-            entries = tuple(map(int, toks[2:]))
-        except ValueError:  # _int names the line and the first bad token
+        if entries is None:
             entries = tuple(_int(t, lineno) for t in toks[2:])
         for e in entries:
             if not 1 <= e <= n:
                 raise SyntaxError(lineno, f"ranked id {e} out of range 1..{n}")
         prefs[agent] = entries
     # at least n lines, each naming a distinct agent in 1..n: every agent has one
+    prefs[0] = ()
 
-    instance = Instance(n, ((),) + tuple(prefs[1:]), sides)
+    instance = Instance._trusted(n, tuple(prefs), sides)
     validate_instance(instance)
     return instance, deviators
 
@@ -133,21 +137,27 @@ def parse_matching(text: str, n: int | None = None) -> Matching:
     an instance is the caller's.
     """
     pairs = []
-    matched = set()
+    partner: dict[int, int] = {}
     for lineno, toks in _tokens(text):
         if len(toks) != 2:
             raise SyntaxError(lineno, "expected '<i> <j>'")
-        i, j = _int(toks[0], lineno), _int(toks[1], lineno)
+        try:
+            i, j = int(toks[0]), int(toks[1])
+        except ValueError:  # _int names the first bad token
+            i, j = _int(toks[0], lineno), _int(toks[1], lineno)
         if not i < j:
             raise SyntaxError(lineno, "pairs must satisfy i < j")
         if n is not None and not (1 <= i and j <= n):
             raise SyntaxError(lineno, f"pair ({i}, {j}) out of range 1..{n}")
         for a in (i, j):
-            if a in matched:
+            if a in partner:
                 raise SyntaxError(lineno, f"agent {a} appears in two pairs")
-            matched.add(a)
+        partner[i], partner[j] = j, i
         pairs.append((i, j))
-    return Matching(frozenset(pairs))
+    # The loop proved each pair normalised and agent-disjoint.  The set is
+    # re-added in the order Matching(pairs) adds it, so it iterates in the
+    # same order, and checked_value names the same first bad pair.
+    return Matching._trusted(frozenset(set(iter(frozenset(pairs)))), partner)
 
 
 def serialize_matching(matching: Matching) -> str:

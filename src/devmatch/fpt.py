@@ -379,8 +379,7 @@ class _Sweep:
         p = self.problem
         for t, k in enumerate(budgets, start=1):
             self.keep = t < len(budgets)
-            at_k = DeviatorProblem(p.instance, p.deviators, p.objective, p.size_regime, k)
-            out = solve_fpt(at_k, _sweep=self)
+            out = solve_fpt(p._with_budget(k), _sweep=self)
             if out.feasible:
                 return out
         return None
@@ -455,14 +454,15 @@ def _restrict(inst: Instance, agents: list[int]) -> Instance:
     Entries outside agents are dropped, as a ball's outer lists reach
     distance three.  Every agent gives inst itself.  Both ends of a pair
     are kept or dropped together, so a validated inst's sub-instance reads
-    Instance.mutual off its lists too.
+    Instance.mutual off its lists too.  The lists are relabelled from a
+    checked instance into 1..len(agents), so Instance._trusted builds it.
     """
     if len(agents) == inst.num_agents:
         return inst
     new = {a: i for i, a in enumerate(agents, start=1)}
     prefs = ((),) + tuple(tuple(new[j] for j in inst.prefs[a] if j in new) for a in agents)
-    sub = Instance(len(agents), prefs, inst.sides and tuple(inst.sides[a] for a in agents))
-    return _inherit_mutual(sub, inst)
+    sides = inst.sides and (0,) + tuple(inst.sides[a] for a in agents)
+    return _inherit_mutual(Instance._trusted(len(agents), prefs, sides), inst)
 
 
 def _parts(p: DeviatorProblem) -> tuple[list[tuple[_Sweep, list[int]]], list[int]]:
@@ -566,7 +566,7 @@ def solve_bipartite_restriction(p: DeviatorProblem) -> Matching | None:
     h = ((),) + tuple(tuple(new[j] for j in prefs[a] if a in devs or j in devs) for a in agents)
     # H keeps or drops each edge from both its ends, so it is as mutual as p's instance
     try:
-        m = irving_sr(_inherit_mutual(Instance(len(agents), h), p.instance))
+        m = irving_sr(_inherit_mutual(Instance._trusted(len(agents), h), p.instance))
     except Unsolvable:
         return None
     return Matching(frozenset((agents[i - 1], agents[j - 1]) for i, j in m.pairs))

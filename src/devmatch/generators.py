@@ -10,7 +10,8 @@ draw order is part of the contract:
    (cross-side pairs only for SmiUniform) and shuffle them once.
 3. Draw the target edge count uniformly from 0..len(candidates), then walk
    the shuffled candidates greedily, keeping a pair whenever both endpoints
-   are below list_cap, until the target is met or candidates run out.
+   are below list_cap, until the target is met, candidates run out, or
+   fewer than two agents are below list_cap.
 4. For each agent in ascending id order, sort its neighbor set ascending
    and shuffle it once; that order is the preference list.
 5. For each agent in ascending id order, one uniform draw decides deviator
@@ -18,6 +19,12 @@ draw order is part of the contract:
 
 Edges are sampled before lists so acceptability is symmetric by
 construction, with no repair pass.  Specs over MAX_CANDIDATES pairs are refused.
+
+Every draw rests on `getrandbits` alone: the shuffles and `randint` draw
+below a bound with `getrandbits(k)` and reject what lands past it, as
+`random.Random` does.  Step 2's shuffle is that Fisher-Yates loop written
+out, with the same draws as `rng.shuffle`, over the pairs encoded as the
+ints i * (n + 1) + j.
 """
 
 from __future__ import annotations
@@ -58,6 +65,26 @@ class GenSpec:
     seed: int = 0
 
 
+def _shuffle(rng: random.Random, x: list) -> None:
+    """rng.shuffle(x): the same getrandbits draws and swaps, without a call per draw.
+
+    Position i swaps with a draw below i + 1, from top to 1: getrandbits(k),
+    k = (i + 1).bit_length(), redrawn while past i.  k holds over each block
+    of i whose i + 1 shares a bit length.
+    """
+    getrandbits = rng.getrandbits
+    top = len(x) - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        low = (1 << (k - 1)) - 1  # the block's least i: i + 1 = 2 ** (k - 1)
+        for i in range(top, low - 1, -1):
+            r = getrandbits(k)
+            while r > i:
+                r = getrandbits(k)
+            x[i], x[r] = x[r], x[i]
+        top = low - 1
+
+
 def generate(spec: GenSpec) -> DeviatorProblem:
     """Draw the instance described by spec; objective/regime/budget defaults."""
     if spec.n < 0:
@@ -84,27 +111,32 @@ def generate(spec: GenSpec) -> DeviatorProblem:
         side_zero = set(ids[: n // 2])
         sides = tuple(0 if i in side_zero else 1 for i in range(1, n + 1))
 
-    candidates = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if sides is None or sides[i - 1] != sides[j - 1]
-    ]
-    rng.shuffle(candidates)
+    width = n + 1  # pair (i, j) is the int i * width + j, so ints sort as pairs do
+    candidates: list[int] = []
+    for i in range(1, n + 1):
+        if sides is None:
+            candidates.extend(range(i * width + i + 1, (i + 1) * width))
+        else:
+            candidates.extend([i * width + j for j in range(i + 1, n + 1)
+                               if sides[i - 1] != sides[j - 1]])
+    _shuffle(rng, candidates)
     target = rng.randint(0, len(candidates)) if candidates else 0
 
     degree = [0] * (n + 1)
     neighbors: list[list[int]] = [[] for _ in range(n + 1)]
     kept = 0
-    for i, j in candidates:
-        if kept == target:
+    room = n  # agents below list_cap; the walk draws nothing, so it may stop once one is left
+    for pair in candidates:
+        if kept == target or room < 2:
             break
+        i, j = divmod(pair, width)
         if degree[i] < spec.list_cap and degree[j] < spec.list_cap:
             neighbors[i].append(j)
             neighbors[j].append(i)
             degree[i] += 1
             degree[j] += 1
             kept += 1
+            room -= (degree[i] == spec.list_cap) + (degree[j] == spec.list_cap)
 
     prefs: list[tuple[int, ...]] = [()]
     for i in range(1, n + 1):

@@ -264,3 +264,27 @@ def test_importing_the_package_loads_core_alone():
     )
     assert done.stdout.split("\n")[:4] == ["[]", "devmatch.fpt False", "True", "False"]
 
+
+def test_the_cli_loads_each_module_where_it_is_used(tmp_path):
+    """Importing the CLI, and validating a file, load no solver, oracle, generator or reduction."""
+    path = tmp_path / "cycle.dsm"
+    path.write_text(fileio.serialize_instance(generate(GenSpec(n=12, seed=4)).instance))
+    code = (
+        "import sys, devmatch.cli\n"
+        "lazy = ('classic', 'fpt', 'generators', 'oracle', 'reductions', 'shortlist')\n"
+        "print([m for m in lazy if f'devmatch.{m}' in sys.modules])\n"
+        f"devmatch.cli.main(['validate', {str(path)!r}])\n"
+        "print([m for m in lazy if f'devmatch.{m}' in sys.modules])\n"
+        "devmatch.cli.main(['gen', '--n', '4'])\n"
+        "print('devmatch.generators' in sys.modules)\n"
+    )
+    src = str(Path(devmatch.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    lines = done.stdout.split("\n")
+    assert lines[:2] == ["[]", "ok agents=12 deviators=0 d_max=3"], done.stdout
+    assert lines[2] == "[]"
+    assert lines[-2] == "True"
+

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from devmatch import classic, fpt, solve
 from devmatch.core import (
+    DeviatorProblem,
     Instance,
     Matching,
     Objective,
     SizeRegime,
     blocking_report,
+    validate_instance,
     verify_solution,
 )
 from devmatch.fpt import (
@@ -339,6 +341,59 @@ def test_trusted_matchings_equal_checked_ones(monkeypatch):
     assert seen > 1000
 
 
+def test_trusted_parts_and_budgets_equal_checked_ones(monkeypatch):
+    """Every sub-instance and per-budget problem the search builds unchecked is the checked one.
+
+    Seeded SRI and SMI draws, n 6-16, validated, each also with 1-3
+    one-sided entries.  Every Instance._trusted build (the parts _restrict
+    cuts under optimize_fpt and solve_fpt in every regime and objective,
+    and the zero certificate's H) equals Instance(...) of its lists, and is
+    marked all mutual exactly when its whole is.  Every budget's problem
+    equals DeviatorProblem(...) of its fields.
+    """
+    subs, budgets = [], []
+    trusted, with_budget = Instance._trusted, DeviatorProblem._with_budget
+
+    def sub(cls, *args):
+        subs.append(trusted(*args))
+        return subs[-1]
+
+    def at(self, k):
+        budgets.append(with_budget(self, k))
+        return budgets[-1]
+
+    monkeypatch.setattr(Instance, "_trusted", classmethod(sub))
+    monkeypatch.setattr(DeviatorProblem, "_with_budget", at)
+    rng = random.Random(20261021)
+    seen = [0, 0]
+    for seed in range(30):
+        for model in (GenModel.SRI_UNIFORM, GenModel.SMI_UNIFORM):
+            drawn = generate(GenSpec(n=rng.randint(6, 16), model=model, list_cap=rng.randint(2, 4),
+                                     deviator_fraction=0.3, seed=seed))
+            validate_instance(drawn.instance)
+            one_sided = with_one_sided_entries(drawn.instance, rng, rng.randint(1, 3))
+            for inst in filter(None, (drawn.instance, one_sided)):
+                for regime, objective in itertools.product(SizeRegime, Objective):
+                    for budget in (None, 1):
+                        try:
+                            solve(problem(inst, drawn.deviators, objective, regime, budget), "fpt")
+                        except PerfectInfeasible:
+                            pass
+                solve_bipartite_restriction(problem(inst, drawn.deviators))
+                for part in subs:
+                    checked = Instance(part.num_agents, part.prefs, part.sides)
+                    assert part == checked
+                    assert part._all_mutual is inst._all_mutual
+                for q in budgets:
+                    assert q == DeviatorProblem(q.instance, q.deviators, q.objective,
+                                                q.size_regime, q.budget)
+                seen[0] += len(subs)
+                seen[1] += len(budgets)
+                subs.clear()
+                budgets.clear()
+    assert min(seen) > 500, seen
+
+
 class TestSolveFpt:
     def test_requires_budget(self):
         with pytest.raises(ValueError):
@@ -549,21 +604,24 @@ def triangles_and_path(c, m):
 
 
 def test_search_cost_does_not_grow_with_the_padding(monkeypatch):
-    """One sub-instance per triangle and no per-configuration copy; no list read beyond them."""
-    original = Instance.__post_init__
+    """One sub-instance per triangle and no per-configuration copy; no list read beyond them.
+
+    Parts are cut with Instance._trusted, so that is what is counted.
+    """
+    original = Instance._trusted
     inits = 0
 
-    def counted(self):
+    def counted(cls, *args):
         nonlocal inits
         inits += 1
-        original(self)
+        return original(*args)
 
     results = []
     for m in (20, 2000):
         p = triangles_and_path(3, m)
         read = record_list_reads(p.instance)
         inits = 0
-        monkeypatch.setattr(Instance, "__post_init__", counted)
+        monkeypatch.setattr(Instance, "_trusted", classmethod(counted))
         out = optimize_fpt(p)
         monkeypatch.undo()
         assert inits == 3

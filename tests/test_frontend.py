@@ -1,5 +1,7 @@
 """File formats and the command-line interface."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,6 +145,34 @@ class TestMatchingFormat:
         with pytest.raises(fileio.SyntaxError) as exc:
             fileio.parse_matching("# header\n1 2\n4 5\n3 5\n")
         assert exc.value.line == 4
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 2\n3 4 5\n", "line 2: expected '<i> <j>'"),
+        ("1 2\n\n4 3\n", "line 3: pairs must satisfy i < j"),
+        ("1 2\n3 2\n", "line 2: pairs must satisfy i < j"),
+        ("3 4\n1 4  # again\n", "line 2: agent 4 appears in two pairs"),
+        ("1 x\n", "line 1: expected an integer, got 'x'"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(fileio.SyntaxError) as exc:
+            fileio.parse_matching(text)
+        assert str(exc.value) == message
+
+    def test_a_parsed_matching_is_the_checked_one(self):
+        """parse_matching's unchecked build equals Matching(pairs), down to set order.
+
+        The pairs iterate in the order Matching(pairs) stores them, so
+        checked_value names the same first bad pair of a file.
+        """
+        rng = random.Random(20261020)
+        for _ in range(400):
+            n = rng.randint(0, 300)
+            agents = rng.sample(range(1, n + 1), 2 * rng.randint(0, n // 2))
+            pairs = [tuple(sorted(agents[t:t + 2])) for t in range(0, len(agents), 2)]
+            got = fileio.parse_matching("".join(f"{i} {j}\n" for i, j in pairs), n)
+            want = Matching(frozenset(pairs))
+            assert (got.pairs, got._partner) == (want.pairs, want._partner)
+            assert list(got.pairs) == list(want.pairs)
 
 
 @pytest.fixture
@@ -642,6 +672,20 @@ def test_parse_instance_matches_the_reference(seed, n, model, kinds, shuffled, d
     assert got == want, text
     if not kinds:
         assert got == (p.instance, p.deviators)
+
+
+@pytest.mark.parametrize("model", list(GenModel))
+def test_a_parsed_instance_is_the_checked_one(model):
+    """parse_instance's unchecked build equals Instance(...) of its lists, marked all mutual."""
+    cap = 2 if model is GenModel.PATH_CYCLE_ONLY else 4
+    for seed in range(40):
+        p = generate(GenSpec(n=2 + 5 * seed, model=model, list_cap=cap,
+                             deviator_fraction=0.3, seed=seed))
+        inst, devs = fileio.parse_instance(fileio.serialize_instance(p.instance, p.deviators))
+        checked = Instance(inst.num_agents, inst.prefs, inst.sides)
+        assert (inst, devs) == (checked, p.deviators)
+        assert inst == p.instance
+        assert inst._all_mutual
 
 
 def test_parsing_builds_no_rank_table():

@@ -1,11 +1,13 @@
 """Random instance generation: determinism, validity, parameter handling."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devmatch import cli, generators
-from devmatch.core import Objective, SizeRegime
+from devmatch.core import DeviatorProblem, Instance, Objective, SizeRegime
 from devmatch.generators import GenModel, GenSpec, InfeasibleSpec, generate
 
 
@@ -130,3 +132,61 @@ def test_deviator_fraction_extremes():
     assert none.deviators == frozenset()
     everyone = generate(GenSpec(n=12, deviator_fraction=1.0, seed=3))
     assert everyone.deviators == frozenset(range(1, 13))
+
+
+def reference_generate(spec: GenSpec) -> DeviatorProblem:
+    """generate's draw procedure on tuple candidates shuffled by random.shuffle, for valid specs."""
+    n = spec.n
+    rng = random.Random(spec.seed)
+    sides = None
+    if spec.model is GenModel.SMI_UNIFORM and n:
+        ids = list(range(1, n + 1))
+        rng.shuffle(ids)
+        side_zero = set(ids[: n // 2])
+        sides = tuple(0 if i in side_zero else 1 for i in range(1, n + 1))
+    candidates = [
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        if sides is None or sides[i - 1] != sides[j - 1]
+    ]
+    rng.shuffle(candidates)
+    target = rng.randint(0, len(candidates)) if candidates else 0
+    degree = [0] * (n + 1)
+    neighbors = [[] for _ in range(n + 1)]
+    kept = 0
+    for i, j in candidates:
+        if kept == target:
+            break
+        if degree[i] < spec.list_cap and degree[j] < spec.list_cap:
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+            degree[i] += 1
+            degree[j] += 1
+            kept += 1
+    prefs = [()]
+    for i in range(1, n + 1):
+        order = sorted(neighbors[i])
+        rng.shuffle(order)
+        prefs.append(tuple(order))
+    deviators = frozenset(i for i in range(1, n + 1) if rng.random() < spec.deviator_fraction)
+    return DeviatorProblem(Instance(n, tuple(prefs), sides), deviators)
+
+
+def test_draws_match_the_shuffle_reference():
+    """The written-out shuffle draws what random.shuffle draws, on 2,000 seeded specs."""
+    rng = random.Random(20261020)
+    for _ in range(2000):
+        model = rng.choice(list(GenModel))
+        cap = rng.randint(1, 2 if model is GenModel.PATH_CYCLE_ONLY else 6)
+        spec = GenSpec(n=rng.randint(2, 80), model=model, list_cap=cap,
+                       deviator_fraction=rng.random(), seed=rng.getrandbits(64))
+        assert generate(spec) == reference_generate(spec), spec
+
+
+@pytest.mark.parametrize("model", list(GenModel))
+def test_a_large_draw_matches_the_shuffle_reference(model):
+    """One draw per model long enough for the shuffle to cross many bit lengths."""
+    cap = 2 if model is GenModel.PATH_CYCLE_ONLY else 4
+    spec = GenSpec(n=450, model=model, list_cap=cap, deviator_fraction=0.2, seed=2**63 + 5)
+    assert generate(spec) == reference_generate(spec)
