@@ -36,19 +36,26 @@ last part is only decided.
 
 Each part tries budgets 0, 1, 2, ... in turn.  What does not depend on the
 budget (the maximum matching size, the tolerated pool, the scanned
-candidate matchings with their share of that pool, extension values)
-lives in the part's _Sweep, which hands itself to each budget's solve_fpt
-walk as the keyword-only _sweep argument; the module keeps no state
-between calls.  So each candidate
-matching is built and scanned once per part, later budgets replay the
-kept ones, and a candidate whose floor exceeds the budget is skipped as
-one block, its configurations counted into the index without being built.
+candidate matchings with their live keys, extension values) lives in the
+part's _Sweep, which hands itself to each budget's solve_fpt walk as the
+keyword-only _sweep argument; the module keeps no state between calls.
+So each candidate matching is built and scanned once per part, and later
+budgets replay the kept ones.  A walk yields only the configurations its
+budget can accept: none of a candidate whose floor exceeds the budget;
+of the others, only tolerated sets that hold every key of a breaking
+trigger and no key outside the triggers; and, once the smaller budgets
+have been walked, only sets of the budget's size, since an accepted
+configuration's value is at most its set's size.  What is skipped is
+counted into the index with binomials, so a note's #index is still the
+position in the full stream that enumerate_configurations yields without
+a sweep.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -88,8 +95,10 @@ class CandidateConfiguration:
     blocked_set holds candidate blocking pairs (each containing a deviator,
     disjoint from the matching) under the pair objective, or candidate
     blocking deviators under the agent objective.  index is the position in
-    the deterministic enumeration.  triggers are the candidate matching's,
-    from _scan, in a search's stream, and None in the plain enumeration.
+    the full deterministic enumeration, also in a search's stream, which
+    skips configurations its budget cannot accept.  triggers are the
+    candidate matching's, from _scan, in a search's stream, and None in the
+    full enumeration.
     """
 
     candidate_matching: Matching
@@ -181,9 +190,40 @@ def _tolerable(p: DeviatorProblem) -> list:
     return sorted({(d, r) if d < r else (r, d) for d in p.deviators for r in p.instance.prefs[d]})
 
 
-def _free(pool: list, m_c: Matching, by_pairs: bool) -> list:
-    """The part of pool a tolerated set with m_c may hold: under bp, never a pair of m_c."""
-    return [b for b in pool if b not in m_c.pairs] if by_pairs else pool
+@functools.lru_cache(maxsize=64)
+def _binomials(n: int, k: int) -> tuple[tuple, tuple]:
+    """The tables binom and below for m <= n: binom[s][m] = C(m, s) for s <= k, by Pascal's rule.
+
+    below[s][m] = C(m, 0) + ... + C(m, s - 1) for s <= k + 1, so a candidate
+    with a free pool of m keys has below[k + 1][m] configurations at budget
+    k.  The tables are immutable and small, and parts of one pool size and
+    budget share them.
+    """
+    binom = [[1] * (n + 1)]
+    for s in range(1, k + 1):
+        row = [0] * (n + 1)
+        for m in range(s, n + 1):
+            row[m] = row[m - 1] + binom[-1][m - 1]
+        binom.append(row)
+    below = [[0] * (n + 1)]
+    for row in binom:
+        below.append([a + b for a, b in zip(below[-1], row)])
+    return tuple(map(tuple, binom)), tuple(map(tuple, below))
+
+
+def _rank(spots: list[int], f: int, binom: tuple) -> int:
+    """The lexicographic rank of sorted positions spots among the len(spots)-subsets of range(f).
+
+    The combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3): the subsets
+    after spots number the sum over i of C(f - 1 - spots[i], s - i), s =
+    len(spots), so the rank is C(f, s) - 1 less that sum.  binom[s][m] is
+    C(m, s), for m up to f and s up to len(spots) (_binomials).
+    """
+    s = len(spots)
+    rank = binom[s][f] - 1
+    for i, c in enumerate(spots):
+        rank -= binom[s - i][f - 1 - c]
+    return rank
 
 
 def enumerate_configurations(p: DeviatorProblem, k: int, *, _sweep: _Sweep | None = None):
@@ -196,46 +236,90 @@ def enumerate_configurations(p: DeviatorProblem, k: int, *, _sweep: _Sweep | Non
     tolerated set: sizes 0..k, lexicographic within a size, drawn from the
     canonical deviator pairs (pair objective; sets clashing with the
     matching are skipped) or from the deviators themselves (agent
-    objective).
+    objective).  This is the full stream.
 
     _sweep is internal: given a part's _Sweep, the candidate matchings come
-    scanned from it, each with the pool its tolerated sets are drawn from,
-    computed once when the candidate is scanned, so no later budget builds
-    it again.  Each configuration carries its candidate's triggers, and a
-    candidate whose floor exceeds k yields nothing.  Its configurations
-    still count in the index, so every index is the one the full stream
-    gives.
+    scanned from it, and only configurations the budget can accept are
+    yielded, each with its candidate's triggers.  A candidate whose floor
+    exceeds k yields nothing.  Of the others, only tolerated sets B that
+    hold every key of locked and no key outside locked and loose (_scan's
+    masks) are yielded: a set missing a locked key is always rejected by
+    truncation, and a set holding a key with no trigger has the cut of its
+    part inside the triggers' keys, which comes earlier and is answered the
+    same.  When the sweep's least
+    is k, only sets of size k are yielded: a smaller set was tried by the
+    walk at its own size's budget (_Sweep.search).  The sets come as locked
+    plus the combinations of loose, which keeps lexicographic order, since
+    two sets of one size compare by their symmetric difference.  Every
+    index is still the configuration's position in the full stream: the
+    configurations skipped are counted with binomials, and a set is ranked
+    among the sets of its size by _rank.
     """
     if _sweep is None:
         pool, by_pairs = _tolerable(p), p.objective is Objective.BLOCKING_PAIRS
-        scanned = ((m_c, None, 0, _free(pool, m_c, by_pairs))
-                   for m_c in _deviator_matchings(p.instance, sorted(p.deviators)))
-    else:
-        scanned = _sweep.scanned()
+        index = 0
+        for m_c in _deviator_matchings(p.instance, sorted(p.deviators)):
+            free = [b for b in pool if b not in m_c.pairs] if by_pairs else pool
+            for size in range(k + 1):
+                for blocked in itertools.combinations(free, size):
+                    yield CandidateConfiguration(m_c, frozenset(blocked), index)
+                    index += 1
+        return
+
+    sweep, by_pairs = _sweep, p.objective is Objective.BLOCKING_PAIRS
+    pool, spot, least = sweep.pool, sweep.spot, sweep.least
+    n = len(pool)
+    r = min(k, n)  # no set is larger than the pool
+    binom, below = _binomials(n, r)
     index = 0
-    for m_c, triggers, floor, free in scanned:
-        if floor > k:
-            index += sum(math.comb(len(free), size) for size in range(k + 1))
-            continue
-        for size in range(k + 1):
-            for blocked in itertools.combinations(free, size):
-                yield CandidateConfiguration(m_c, frozenset(blocked), index, triggers)
-                index += 1
+    for m_c, triggers, floor, locked, loose in sweep.scanned():
+        # free is the pool less m_c's pairs under bp
+        f = n - len(m_c.pairs) if by_pairs else n
+        fewest = locked.bit_count()
+        sizes = range(max(least, fewest), min(k, fewest + loose.bit_count()) + 1)
+        if floor <= k and sizes:
+            # a key's position in free is its position in the pool less the m_c pairs before it
+            taken = sorted([spot[pair] for pair in m_c.pairs]) if by_pairs else ()
+            bits = [1 << i for i in range(loose.bit_length()) if loose >> i & 1]  # ascending
+            for size in sizes:
+                for extra in itertools.combinations(bits, size - fewest):
+                    held = locked | sum(extra)
+                    at = [i for i in range(held.bit_length()) if held >> i & 1]
+                    spots = [i - bisect.bisect(taken, i) for i in at]
+                    yield CandidateConfiguration(m_c, frozenset([pool[i] for i in at]),
+                                                 index + below[size][f] + _rank(spots, f, binom),
+                                                 triggers)
+        index += below[r + 1][f]
 
 
-def _scan(p: DeviatorProblem, m_c: Matching, devs: list[int]) -> tuple[list, int]:
-    """A candidate matching's triggers and floor: core._triggers over devs, the sorted deviators.
+def _scan(
+    p: DeviatorProblem, m_c: Matching, devs: list[int], spot: dict
+) -> tuple[list, int, int, int]:
+    """A candidate matching's triggers, floor and live keys, by core._triggers over devs (sorted).
 
     A breaking trigger (d, r, back, breaks) is a blocking pair of M_C whose
     end across from d keeps its partner in every completion, so it blocks
     whatever the tolerated set: the floor counts those pairs, or the
-    deviators in them under the agent objective.
+    deviators in them under the agent objective.  A trigger's key is its
+    canonical pair under the pair objective and its deviator d under the
+    agent objective, and spot maps each key to its position in the sweep's
+    pool.  locked and loose are bit masks over those positions: locked
+    holds the keys of breaking triggers, which every tolerated set that
+    truncation keeps must hold, and loose the other triggers' keys.
     """
     triggers = _triggers(p.instance, m_c._partner, devs)
-    locked = {(d, r) if d < r else (r, d) for d, r, _, breaks in triggers if breaks}
-    if p.objective is Objective.BLOCKING_AGENTS:
-        locked = {a for pair in locked for a in pair} & p.deviators
-    return triggers, len(locked)
+    by_pairs = p.objective is Objective.BLOCKING_PAIRS
+    locked = loose = 0
+    for d, r, _, breaks in triggers:
+        bit = 1 << spot[((d, r) if d < r else (r, d)) if by_pairs else d]
+        if breaks:
+            locked |= bit
+        else:
+            loose |= bit
+    floor = locked.bit_count()
+    if not by_pairs and locked:  # a locked pair of two deviators counts both
+        floor = len({a for d, r, _, breaks in triggers if breaks for a in (d, r)} & p.deviators)
+    return triggers, floor, locked, loose & ~locked
 
 
 def truncate_and_collect(
@@ -323,38 +407,42 @@ class _Sweep:
 
     search hands the sweep to each budget's solve_fpt walk as its _sweep
     argument.  problem is the part's problem, with no budget.  target is
-    the maximum matching size (None in the any-size regime), and pool the
-    tolerated sets' pool.  values maps a memo key (candidate matching, cut)
-    to the value of its extension, or to None when the extension is
-    rejected.  It depends on the configuration alone, so every
-    budget reuses it.  Only values are kept, not matchings, which in the
-    maximum-cardinality regime span the whole part: an extension is redone
-    only when its value fits the budget, which ends the search.
+    the maximum matching size (None in the any-size regime), pool the
+    tolerated sets' pool and spot each pool key's position in it.  values
+    maps a memo key (candidate matching, cut) to the value of its
+    extension, or to None when the extension is rejected.  It depends on
+    the configuration alone, so every budget reuses it.  Only values are
+    kept, not matchings, which in the maximum-cardinality regime span the
+    whole part: an extension is redone only when its value fits the
+    budget, which ends the search.
 
     Each candidate matching is walked and scanned once per sweep: walk is
     the one _deviator_matchings walk the budgets share, over the deviators
     sorted once, and kept holds its scanned entries (m_c, triggers, floor,
-    free) while keep is set, which search does whenever another budget
-    follows.  free is the part of pool the candidate's tolerated sets are
-    drawn from, built when the candidate is scanned.  A later budget replays
-    kept and then goes on with walk, so a sweep that is only decided keeps
-    nothing.
+    locked, loose; see _scan) while keep is set, which search does whenever
+    another budget follows.  A later budget replays kept and then goes on
+    with walk, so a sweep that is only decided keeps nothing.  least is the
+    smallest tolerated set a walk yields: search sets it to the budget once
+    every smaller budget has been walked.
     """
 
     problem: DeviatorProblem
     target: int | None
     values: dict = field(default_factory=dict)
     keep: bool = False
+    least: int = 0
     kept: list = field(default_factory=list)
     pool: list = field(init=False)
+    spot: dict = field(init=False, repr=False)
     walk: Iterator = field(init=False, repr=False)
 
     def __post_init__(self):
         p = self.problem
-        pool = self.pool = _tolerable(p)
-        by_pairs, devs = p.objective is Objective.BLOCKING_PAIRS, sorted(p.deviators)
-        # a walk over p, not self, so a finished sweep is freed without the cyclic collector
-        self.walk = ((m_c, *_scan(p, m_c, devs), _free(pool, m_c, by_pairs))
+        self.pool = _tolerable(p)
+        spot = self.spot = {b: i for i, b in enumerate(self.pool)}
+        devs = sorted(p.deviators)
+        # a walk over p and spot, not self: a finished sweep is freed without the cyclic collector
+        self.walk = ((m_c, *_scan(p, m_c, devs, spot))
                      for m_c in _deviator_matchings(p.instance, devs))
 
     @classmethod
@@ -375,10 +463,17 @@ class _Sweep:
             yield entry
 
     def search(self, budgets) -> SolveOutcome | None:
-        """The outcome at the first of budgets that works, or None; each walk gets this sweep."""
+        """The outcome at the first of budgets that works, or None; each walk gets this sweep.
+
+        budgets is one budget, only decided, or 0, 1, 2, ... in turn.  After
+        budget 0, each walk yields only tolerated sets of its budget's size:
+        an accepted configuration's value is at most its set's size, so one
+        with a smaller set would put the optimum below the budget, where an
+        earlier walk has already failed.
+        """
         p = self.problem
         for t, k in enumerate(budgets, start=1):
-            self.keep = t < len(budgets)
+            self.keep, self.least = t < len(budgets), k if t > 1 else 0
             out = solve_fpt(p._with_budget(k), _sweep=self)
             if out.feasible:
                 return out

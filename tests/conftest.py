@@ -2,6 +2,7 @@
 
 import random
 
+from devmatch import fpt
 from devmatch.core import DeviatorProblem, Instance, Matching, Objective, SizeRegime
 
 
@@ -50,6 +51,12 @@ def problem(
     budget=None,
 ) -> DeviatorProblem:
     return DeviatorProblem(inst, frozenset(deviators), objective, regime, budget)
+
+
+def scan(p: DeviatorProblem, m_c: Matching) -> tuple:
+    """fpt._scan of m_c as a sweep of p scans it, over the sorted deviators and its pool."""
+    spot = {b: i for i, b in enumerate(fpt._tolerable(p))}
+    return fpt._scan(p, m_c, sorted(p.deviators), spot)
 
 
 def with_one_sided_entries(inst: Instance, rng: random.Random, count: int) -> Instance | None:

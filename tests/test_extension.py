@@ -21,7 +21,7 @@ from devmatch.fpt import (
 )
 from devmatch.generators import GenModel, GenSpec, generate
 
-from conftest import problem
+from conftest import problem, scan
 
 _UNRANKED = 1 << 30
 
@@ -106,7 +106,7 @@ def check_extensions(p, k):
     target = None if p.size_regime is SizeRegime.ANY else max_cardinality_size(p.instance)
     near = ball(p)
     for cfg in enumerate_configurations(p, k):
-        triggers = fpt._scan(p, cfg.candidate_matching, sorted(p.deviators))[0]
+        triggers = scan(p, cfg.candidate_matching)[0]
         trunc = truncate_and_collect(p, cfg, triggers)
         if trunc.rejected:
             continue
@@ -150,7 +150,7 @@ def test_nothing_to_cover_needs_no_matching_without_a_target(monkeypatch):
     ):
         p = problem(inst, {2}, regime=regime, budget=0)
         cfg = CandidateConfiguration(Matching(frozenset({(1, 2)})), frozenset(), 0)
-        trunc = truncate_and_collect(p, cfg, fpt._scan(p, cfg.candidate_matching, [2])[0])
+        trunc = truncate_and_collect(p, cfg, scan(p, cfg.candidate_matching)[0])
         assert trunc.cut == {} and not trunc.rejected
         m_ext = extend_via_weighted_matching(p, trunc, target)
         assert (m_ext.pairs, m_ext._partner) == (want, Matching(want)._partner)

@@ -18,6 +18,7 @@ from devmatch.core import (
     Objective,
     SizeRegime,
     blocking_report,
+    objective_value,
     validate_instance,
     verify_solution,
 )
@@ -40,6 +41,7 @@ from conftest import (
     ordered_cycle,
     problem,
     record_list_reads,
+    scan,
     variable_gadget,
     with_one_sided_entries,
 )
@@ -148,7 +150,7 @@ def test_enumeration_matches_product_then_filter(n, seed, frac, cap, model, obje
 
 def triggers_of(p, cfg):
     """The triggers of cfg's candidate matching, as the search scans them."""
-    return fpt._scan(p, cfg.candidate_matching, sorted(p.deviators))[0]
+    return scan(p, cfg.candidate_matching)[0]
 
 
 class TestTruncation:
@@ -245,7 +247,7 @@ def test_scan_agrees_with_the_blocking_report(n, seed, frac, cap, model, objecti
         locked = locked_pairs(p, m_c)
         if objective is Objective.BLOCKING_AGENTS:
             locked = {a for pair in locked for a in pair} & p.deviators
-        assert fpt._scan(p, m_c, devs)[1] == len(locked)
+        assert scan(p, m_c)[1] == len(locked)
     if objective is Objective.BLOCKING_PAIRS:
         for cfg in enumerate_configurations(p, 1):
             res = truncate_and_collect(p, cfg, triggers_of(p, cfg))
@@ -271,19 +273,28 @@ def test_sweep_walks_are_the_floor_filtered_stream(
 
     The walk at budget early stops after stop configurations.  Each walk
     yields the full stream less every configuration of a candidate matching
-    whose floor exceeds the budget, index for index, each with its
-    candidate's triggers.  A sweep that is only decided keeps no entries.
+    whose floor exceeds the budget and every tolerated set that is not live,
+    index for index, each with its candidate's triggers.  A live set holds
+    the key of every breaking trigger and no key but triggers' (a key is
+    the canonical pair under bp, the deviator under ba).  A sweep that is
+    only decided keeps no entries.
     """
     prob = generate(GenSpec(n=n, model=model, list_cap=cap, deviator_fraction=frac, seed=seed))
     assume(len(prob.deviators) <= 5)
     p = problem(prob.instance, prob.deviators, objective, regime)
     sweep = fpt._Sweep.of(p)
+
+    def key(d, r):
+        return ((d, r) if d < r else (r, d)) if objective is Objective.BLOCKING_PAIRS else d
+
     for k in (0, 1, 2):
         want = []
         for c in enumerate_configurations(p, k):
             m_c = c.candidate_matching
-            triggers, floor = fpt._scan(p, m_c, sorted(p.deviators))
-            if floor <= k:
+            triggers, floor = scan(p, m_c)[:2]
+            locked = {key(d, r) for d, r, _, breaks in triggers if breaks}
+            keys = {key(d, r) for d, r, _, _ in triggers}
+            if floor <= k and locked <= c.blocked_set <= keys:
                 want.append((m_c.pairs, c.blocked_set, c.index, triggers))
         sweep.keep = k < 2
         stream = enumerate_configurations(p, k, _sweep=sweep)
@@ -298,6 +309,66 @@ def test_sweep_walks_are_the_floor_filtered_stream(
     decided = fpt._Sweep.of(p)
     decided.search((1,))
     assert decided.kept == []
+
+
+def test_rank_is_the_lexicographic_position():
+    """_rank against itertools.combinations, and _binomials' counts, for pools of up to 8 keys."""
+    for f in range(9):
+        binom = fpt._binomials(f, f)[0]
+        for s in range(f + 1):
+            for want, spots in enumerate(itertools.combinations(range(f), s)):
+                assert fpt._rank(list(spots), f, binom) == want
+        for k in range(f + 1):
+            counts = fpt._binomials(f, k)[1][k + 1]
+            assert counts == tuple(sum(1 for s in range(k + 1)
+                                       for _ in itertools.combinations(range(m), s))
+                                   for m in range(f + 1))
+
+
+def test_the_search_stream_gives_the_full_streams_outcomes(monkeypatch):
+    """optimize_fpt and solve_fpt give the same matching, value and note on the full stream.
+
+    The reference makes every walk the full stream (enumerate_configurations
+    without a sweep, each configuration with its candidate's triggers) run
+    through truncation and extension in order: no floor skip, no live-set or
+    size rule.  Seeded SRI, SMI and path-cycle draws, n 4-16, list cap 2-4,
+    1-7 deviators, every regime, objective and budget None, 0, 1, 2, 3:
+    10,020 solves.
+    """
+    streamed = fpt.enumerate_configurations
+
+    def full_stream(p, k, *, _sweep=None):
+        triggers = {}
+        for cfg in streamed(p, k):
+            m_c = cfg.candidate_matching
+            if m_c.pairs not in triggers:
+                triggers[m_c.pairs] = scan(p, m_c)[0]
+            yield CandidateConfiguration(m_c, cfg.blocked_set, cfg.index, triggers[m_c.pairs])
+
+    def outcome(p):
+        try:
+            out = optimize_fpt(p) if p.budget is None else solve_fpt(p)
+        except PerfectInfeasible:
+            return "no perfect matching"
+        return out.feasible, out.value, out.certificate_note, out.matching and out.matching.pairs
+
+    rng = random.Random(20261020)
+    solves = 0
+    while solves < 10_000:
+        model = rng.choice(list(GenModel))
+        cap = 2 if model is GenModel.PATH_CYCLE_ONLY else rng.randint(2, 4)
+        prob = generate(GenSpec(n=rng.randint(4, 16), model=model, list_cap=cap,
+                                deviator_fraction=rng.uniform(0.1, 0.6), seed=rng.getrandbits(32)))
+        if not 1 <= len(prob.deviators) <= 7:
+            continue
+        for objective, regime, k in itertools.product(Objective, SizeRegime, (None, 0, 1, 2, 3)):
+            p = problem(prob.instance, prob.deviators, objective, regime, k)
+            got = outcome(p)
+            monkeypatch.setattr(fpt, "enumerate_configurations", full_stream)
+            want = outcome(p)
+            monkeypatch.undo()
+            assert got == want, (prob, objective, regime, k)
+            solves += 1
 
 
 def test_trusted_matchings_equal_checked_ones(monkeypatch):
@@ -839,3 +910,29 @@ def test_matches_oracle(prob, objective, regime, k):
         best = optimize_fpt(p)
         assert best.value == want
         verify_solution(p, best.matching, best.value, strict=True)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    prob=fpt_problems(),
+    objective=st.sampled_from(Objective),
+    regime=st.sampled_from(SizeRegime),
+    k=st.integers(0, 2),
+)
+def test_an_extended_configuration_costs_at_most_its_tolerated_set(prob, objective, regime, k):
+    """The lemma the stream rules rest on, over the full stream.
+
+    A configuration whose truncation survives and whose extension exists
+    has value at most |B|: every deviator blocking pair of the result is a
+    trigger, and a trigger B does not tolerate is rejected or cut away.
+    """
+    assume(len(prob.deviators) <= 4)
+    p = problem(prob.instance, prob.deviators, objective=objective, regime=regime, budget=k)
+    target = None if regime is SizeRegime.ANY else classic.max_cardinality_size(p.instance)
+    for cfg in enumerate_configurations(p, k):
+        trunc = truncate_and_collect(p, cfg, triggers_of(p, cfg))
+        m_ext = None if trunc.rejected else extend_via_weighted_matching(p, trunc, target)
+        if m_ext is not None:
+            combined = Matching(cfg.candidate_matching.pairs | m_ext.pairs)
+            report = blocking_report(p.instance, combined, p.deviators)
+            assert objective_value(report, objective) <= len(cfg.blocked_set)
