@@ -372,8 +372,12 @@ def blocking_report(
     the full view scans every agent, in time linear in the total list length.
     """
     pairs = _blocking_pairs_of(instance, matching._partner, deviators)
-    agents = frozenset(a for pair in pairs for a in pair if a in deviators)
-    return BlockingReport(instance, matching, pairs, agents)
+    return BlockingReport(instance, matching, pairs, _deviators_in(pairs, deviators))
+
+
+def _deviators_in(pairs: frozenset, deviators: frozenset[int]) -> frozenset[int]:
+    """The deviators contained in at least one of pairs."""
+    return frozenset(a for pair in pairs for a in pair if a in deviators)
 
 
 def objective_value(report: BlockingReport, objective: Objective) -> int:
@@ -381,6 +385,20 @@ def objective_value(report: BlockingReport, objective: Objective) -> int:
     if objective is Objective.BLOCKING_PAIRS:
         return len(report.deviator_pairs)
     return len(report.deviator_agents)
+
+
+def _deviator_value(
+    instance: Instance, mate: dict[int, int], deviators: frozenset[int], objective: Objective
+) -> int:
+    """objective_value of blocking_report's deviator view, read off the same scan without a report.
+
+    mate is the matching's partner map.  The configuration search values
+    every extension this way.
+    """
+    pairs = _blocking_pairs_of(instance, mate, deviators)
+    if objective is Objective.BLOCKING_PAIRS:
+        return len(pairs)
+    return len(_deviators_in(pairs, deviators))
 
 
 @dataclass(frozen=True)
@@ -405,32 +423,53 @@ class DeviatorProblem:
         if self.budget is not None and self.budget < 0:
             raise ValueError("budget must be non-negative")
 
+    @classmethod
+    def _trusted(cls, instance: Instance, deviators: frozenset[int], objective: Objective,
+                 size_regime: SizeRegime, budget: int | None = None) -> DeviatorProblem:
+        """The problem of these fields, deviators (a frozenset of ids of instance) taken as checked.
+
+        For problems derived from one that passed __post_init__: the
+        configuration search's parts, whose deviators are relabelled from
+        the whole's, and each budget's copy (_with_budget).
+        """
+        p = object.__new__(cls)
+        p.__dict__.update(instance=instance, deviators=deviators, objective=objective,
+                          size_regime=size_regime, budget=budget)
+        return p
+
     def _with_budget(self, budget: int) -> DeviatorProblem:
         """This problem at a non-negative budget, its deviators taken as already checked."""
-        p = object.__new__(type(self))
-        p.__dict__.update(self.__dict__, budget=budget)
-        return p
+        return self._trusted(self.instance, self.deviators, self.objective, self.size_regime,
+                             budget)
 
 
 @dataclass(frozen=True)
 class SolveOutcome:
     """Result of a solve: a matching and its objective value, or infeasible.
 
-    certificate_note names the algorithm that produced the outcome and, for
-    configuration-search solvers, the accepted configuration's index.
+    certificate_note names the algorithm that produced the outcome.  accepted
+    is the configuration search's witness, empty from every other solver
+    and on an infeasible outcome: one entry per part, in order of the
+    part's least deviator, holding the part's accepted configuration as
+    (its candidate matching's pairs, its tolerated set), in the problem's
+    own agent ids.  The tolerated set holds canonical pairs under the pair
+    objective and deviators under the agent objective.  Truncating and
+    extending an entry, as the search did, gives back that part's matching.
     """
 
     matching: Matching | None
     value: int | None
     certificate_note: str
+    accepted: tuple[tuple[frozenset, frozenset], ...] = field(default=(), compare=False)
 
     @property
     def feasible(self) -> bool:
         return self.matching is not None
 
     @classmethod
-    def solution(cls, matching: Matching, value: int, certificate_note: str) -> "SolveOutcome":
-        return cls(matching, value, certificate_note)
+    def solution(cls, matching: Matching, value: int, certificate_note: str,
+                 accepted: tuple = ()) -> "SolveOutcome":
+        return cls(matching, value, certificate_note, accepted)
 
     @classmethod
     def infeasible(cls, certificate_note: str) -> "SolveOutcome":

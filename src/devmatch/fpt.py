@@ -20,11 +20,11 @@ the deviators' lists less their one-sided entries (Instance.mutual) that
 drops a clash as soon as it appears, core's trigger scan of the deviators
 (_scan) gives each candidate matching's floor and the triggers every
 truncation reads, the cut is a dict rather than a copy of the instance, and
-values come from core.blocking_report's deviator view, which reads the same
-scan.  The solver touches no preference list of agents at
-acceptability-distance three or more from the deviator set, and builds rank
-tables only of the parts' sub-instances; the tests check that by recording
-every read of Instance.prefs.
+values come from the deviator view of core.blocking_report, counted off the
+same scan without building a report.  The solver touches no preference
+list of agents at acceptability-distance three or more from the deviator
+set, and builds rank tables only of the parts' sub-instances; the tests
+check that by recording every read of Instance.prefs.
 
 Both entry points search independent parts one by one and add up their
 optima, exactly: a blocking pair is an edge, so both objectives add up over
@@ -45,16 +45,17 @@ budget can accept: none of a candidate whose floor exceeds the budget;
 of the others, only tolerated sets that hold every key of a breaking
 trigger and no key outside the triggers; and, once the smaller budgets
 have been walked, only sets of the budget's size, since an accepted
-configuration's value is at most its set's size.  What is skipped is
-counted into the index with binomials, so a note's #index is still the
-position in the full stream that enumerate_configurations yields without
-a sweep.
+configuration's value is at most its set's size.
+
+A solution names what it accepted in SolveOutcome.accepted: each part's
+candidate matching and tolerated set, which truncation and extension turn
+back into that part's matching.  Its note names only the solver,
+objective and regime (fpt-bp-any), not the configuration's position in
+the stream, which a pruned walk could not count cheaply.
 """
 
 from __future__ import annotations
 
-import bisect
-import functools
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -75,10 +76,10 @@ from .core import (
     Objective,
     SizeRegime,
     SolveOutcome,
+    _deviator_value,
     _inherit_mutual,
     _triggers,
-    blocking_report,
-    objective_value,
+    blocking_report,  # noqa: F401  (re-exported: callers reach it as fpt.blocking_report)
     verify_solution,
 )
 
@@ -94,16 +95,13 @@ class CandidateConfiguration:
     candidate_matching touches only deviators and their chosen partners.
     blocked_set holds candidate blocking pairs (each containing a deviator,
     disjoint from the matching) under the pair objective, or candidate
-    blocking deviators under the agent objective.  index is the position in
-    the full deterministic enumeration, also in a search's stream, which
-    skips configurations its budget cannot accept.  triggers are the
+    blocking deviators under the agent objective.  triggers are the
     candidate matching's, from _scan, in a search's stream, and None in the
     full enumeration.
     """
 
     candidate_matching: Matching
     blocked_set: frozenset
-    index: int
     triggers: list | None = field(default=None, compare=False, repr=False)
 
 
@@ -190,42 +188,6 @@ def _tolerable(p: DeviatorProblem) -> list:
     return sorted({(d, r) if d < r else (r, d) for d in p.deviators for r in p.instance.prefs[d]})
 
 
-@functools.lru_cache(maxsize=64)
-def _binomials(n: int, k: int) -> tuple[tuple, tuple]:
-    """The tables binom and below for m <= n: binom[s][m] = C(m, s) for s <= k, by Pascal's rule.
-
-    below[s][m] = C(m, 0) + ... + C(m, s - 1) for s <= k + 1, so a candidate
-    with a free pool of m keys has below[k + 1][m] configurations at budget
-    k.  The tables are immutable and small, and parts of one pool size and
-    budget share them.
-    """
-    binom = [[1] * (n + 1)]
-    for s in range(1, k + 1):
-        row = [0] * (n + 1)
-        for m in range(s, n + 1):
-            row[m] = row[m - 1] + binom[-1][m - 1]
-        binom.append(row)
-    below = [[0] * (n + 1)]
-    for row in binom:
-        below.append([a + b for a, b in zip(below[-1], row)])
-    return tuple(map(tuple, binom)), tuple(map(tuple, below))
-
-
-def _rank(spots: list[int], f: int, binom: tuple) -> int:
-    """The lexicographic rank of sorted positions spots among the len(spots)-subsets of range(f).
-
-    The combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3): the subsets
-    after spots number the sum over i of C(f - 1 - spots[i], s - i), s =
-    len(spots), so the rank is C(f, s) - 1 less that sum.  binom[s][m] is
-    C(m, s), for m up to f and s up to len(spots) (_binomials).
-    """
-    s = len(spots)
-    rank = binom[s][f] - 1
-    for i, c in enumerate(spots):
-        rank -= binom[s - i][f - 1 - c]
-    return rank
-
-
 def enumerate_configurations(p: DeviatorProblem, k: int, *, _sweep: _Sweep | None = None):
     """Yield every candidate configuration for budget k, in a fixed order.
 
@@ -249,47 +211,30 @@ def enumerate_configurations(p: DeviatorProblem, k: int, *, _sweep: _Sweep | Non
     same.  When the sweep's least
     is k, only sets of size k are yielded: a smaller set was tried by the
     walk at its own size's budget (_Sweep.search).  The sets come as locked
-    plus the combinations of loose, which keeps lexicographic order, since
-    two sets of one size compare by their symmetric difference.  Every
-    index is still the configuration's position in the full stream: the
-    configurations skipped are counted with binomials, and a set is ranked
-    among the sets of its size by _rank.
+    plus the combinations of loose, which keeps the full stream's
+    lexicographic order, since two sets of one size compare by their
+    symmetric difference.
     """
     if _sweep is None:
         pool, by_pairs = _tolerable(p), p.objective is Objective.BLOCKING_PAIRS
-        index = 0
         for m_c in _deviator_matchings(p.instance, sorted(p.deviators)):
             free = [b for b in pool if b not in m_c.pairs] if by_pairs else pool
             for size in range(k + 1):
                 for blocked in itertools.combinations(free, size):
-                    yield CandidateConfiguration(m_c, frozenset(blocked), index)
-                    index += 1
+                    yield CandidateConfiguration(m_c, frozenset(blocked))
         return
 
-    sweep, by_pairs = _sweep, p.objective is Objective.BLOCKING_PAIRS
-    pool, spot, least = sweep.pool, sweep.spot, sweep.least
-    n = len(pool)
-    r = min(k, n)  # no set is larger than the pool
-    binom, below = _binomials(n, r)
-    index = 0
-    for m_c, triggers, floor, locked, loose in sweep.scanned():
-        # free is the pool less m_c's pairs under bp
-        f = n - len(m_c.pairs) if by_pairs else n
+    pool, least = _sweep.pool, _sweep.least
+    for m_c, triggers, floor, locked, loose in _sweep.scanned():
         fewest = locked.bit_count()
         sizes = range(max(least, fewest), min(k, fewest + loose.bit_count()) + 1)
         if floor <= k and sizes:
-            # a key's position in free is its position in the pool less the m_c pairs before it
-            taken = sorted([spot[pair] for pair in m_c.pairs]) if by_pairs else ()
             bits = [1 << i for i in range(loose.bit_length()) if loose >> i & 1]  # ascending
             for size in sizes:
                 for extra in itertools.combinations(bits, size - fewest):
                     held = locked | sum(extra)
-                    at = [i for i in range(held.bit_length()) if held >> i & 1]
-                    spots = [i - bisect.bisect(taken, i) for i in at]
-                    yield CandidateConfiguration(m_c, frozenset([pool[i] for i in at]),
-                                                 index + below[size][f] + _rank(spots, f, binom),
-                                                 triggers)
-        index += below[r + 1][f]
+                    blocked = [pool[i] for i in range(held.bit_length()) if held >> i & 1]
+                    yield CandidateConfiguration(m_c, frozenset(blocked), triggers)
 
 
 def _scan(
@@ -408,13 +353,13 @@ class _Sweep:
     search hands the sweep to each budget's solve_fpt walk as its _sweep
     argument.  problem is the part's problem, with no budget.  target is
     the maximum matching size (None in the any-size regime), pool the
-    tolerated sets' pool and spot each pool key's position in it.  values
-    maps a memo key (candidate matching, cut) to the value of its
-    extension, or to None when the extension is rejected.  It depends on
-    the configuration alone, so every budget reuses it.  Only values are
-    kept, not matchings, which in the maximum-cardinality regime span the
-    whole part: an extension is redone only when its value fits the
-    budget, which ends the search.
+    tolerated sets' pool and note the certificate note of every walk's
+    outcome, formatted once.  values maps a memo key (candidate matching,
+    cut) to the value of its extension, or to None when the extension is
+    rejected.  It depends on the configuration alone, so every budget
+    reuses it.  Only values are kept, not matchings, which in the
+    maximum-cardinality regime span the whole part: an extension is redone
+    only when its value fits the budget, which ends the search.
 
     Each candidate matching is walked and scanned once per sweep: walk is
     the one _deviator_matchings walk the budgets share, over the deviators
@@ -433,13 +378,13 @@ class _Sweep:
     least: int = 0
     kept: list = field(default_factory=list)
     pool: list = field(init=False)
-    spot: dict = field(init=False, repr=False)
+    note: str = field(init=False)
     walk: Iterator = field(init=False, repr=False)
 
     def __post_init__(self):
         p = self.problem
-        self.pool = _tolerable(p)
-        spot = self.spot = {b: i for i, b in enumerate(self.pool)}
+        self.pool, self.note = _tolerable(p), _note(p)
+        spot = {b: i for i, b in enumerate(self.pool)}
         devs = sorted(p.deviators)
         # a walk over p and spot, not self: a finished sweep is freed without the cyclic collector
         self.walk = ((m_c, *_scan(p, m_c, devs, spot))
@@ -480,9 +425,8 @@ class _Sweep:
         return None
 
 
-def _note(p: DeviatorProblem, index: int | str | None = None) -> str:
-    tag = f"fpt-{p.objective.value}-{p.size_regime.value}"
-    return tag if index is None else f"{tag}#{index}"
+def _note(p: DeviatorProblem) -> str:
+    return f"fpt-{p.objective.value}-{p.size_regime.value}"
 
 
 def solve_fpt(p: DeviatorProblem, *, _sweep: _Sweep | None = None) -> SolveOutcome:
@@ -518,13 +462,14 @@ def solve_fpt(p: DeviatorProblem, *, _sweep: _Sweep | None = None) -> SolveOutco
             continue
         # the extension leaves m_c's agents alone, so the two are disjoint
         combined = Matching._trusted(m_c.pairs | m_ext.pairs, {**m_c._partner, **m_ext._partner})
-        value = objective_value(blocking_report(p.instance, combined, p.deviators), p.objective)
+        value = _deviator_value(p.instance, combined._partner, p.deviators, p.objective)
         sweep.values[key] = value
         if value <= k and (
             p.size_regime is SizeRegime.ANY or verify_solution(p, combined, value)
         ):
-            return SolveOutcome.solution(combined, value, _note(p, cfg.index))
-    return SolveOutcome.infeasible(_note(p))
+            return SolveOutcome.solution(combined, value, sweep.note,
+                                         ((m_c.pairs, cfg.blocked_set),))
+    return SolveOutcome.infeasible(sweep.note)
 
 
 def optimize_fpt(p: DeviatorProblem) -> SolveOutcome:
@@ -595,9 +540,9 @@ def _parts(p: DeviatorProblem) -> tuple[list[tuple[_Sweep, list[int]]], list[int
             parts[label[a]].append(a)
         else:
             idle.append(a)
-    return [(_Sweep.of(DeviatorProblem(_restrict(inst, c),
-                                       {i for i, a in enumerate(c, 1) if a in devs},
-                                       p.objective, p.size_regime)), c)
+    return [(_Sweep.of(DeviatorProblem._trusted(
+                _restrict(inst, c), frozenset([i for i, a in enumerate(c, 1) if a in devs]),
+                p.objective, p.size_regime)), c)
             for c in parts.values()], idle
 
 
@@ -618,7 +563,8 @@ def _solve_in_parts(p: DeviatorProblem) -> SolveOutcome:
         if p.budget is None:
             raise PerfectInfeasible("no perfect matching exists")
         return SolveOutcome.infeasible(_note(p))
-    total, indices = 0, []
+    by_pairs = p.objective is Objective.BLOCKING_PAIRS
+    total, accepted = 0, []
     for t, (sweep, ids) in enumerate(sweeps, start=1):
         # no value exceeds the pool's size, so no larger budget is tried
         limit = len(sweep.pool)
@@ -632,12 +578,16 @@ def _solve_in_parts(p: DeviatorProblem) -> SolveOutcome:
         if sweep.problem.instance is p.instance:  # the one part is the whole: out is the answer
             return out
         total += out.value
-        indices.append(out.certificate_note.rpartition("#")[2])
         partner.update([(ids[i - 1], ids[j - 1]) for i, j in out.matching._partner.items()])
-    # Parts all accepted at their configuration #0, or no parts, make up the whole's #0.
-    index = "0" if set(indices) <= {"0"} else "+".join(indices)
+        [(m_c, blocked)] = out.accepted
+        accepted.append((
+            frozenset([(ids[i - 1], ids[j - 1]) for i, j in m_c]),
+            frozenset([(ids[i - 1], ids[j - 1]) for i, j in blocked] if by_pairs
+                      else [ids[d - 1] for d in blocked]),
+        ))
     pairs = frozenset([(i, j) for i, j in partner.items() if i < j])
-    return SolveOutcome.solution(Matching._trusted(pairs, partner), total, _note(p, index))
+    return SolveOutcome.solution(Matching._trusted(pairs, partner), total, _note(p),
+                                 tuple(accepted))
 
 
 def solve_bipartite_restriction(p: DeviatorProblem) -> Matching | None:

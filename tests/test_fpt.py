@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import re
 import sys
 from dataclasses import replace
 
@@ -63,7 +62,6 @@ class TestEnumeration:
             (frozenset(), frozenset({(1, 3)})),
         ]
         assert [(c.candidate_matching.pairs, c.blocked_set) for c in got] == want
-        assert [c.index for c in got] == list(range(7))
 
     def test_non_matchings_are_discarded(self):
         p = problem(ordered_cycle(3), {1, 2}, budget=0)
@@ -93,7 +91,7 @@ def reference_configurations(p, k):
     """The stream as the full product of deviator choices, filtered afterwards.
 
     enumerate_configurations prunes clashes during its walk instead; it must
-    yield exactly this list, indices included.
+    yield exactly this list, in this order.
     """
     inst = p.instance
     devs = sorted(p.deviators)
@@ -123,7 +121,7 @@ def reference_configurations(p, k):
                 for blocked in itertools.combinations(pool, size):
                     if p.objective is Objective.BLOCKING_PAIRS and pairs & set(blocked):
                         continue
-                    out.append((frozenset(pairs), frozenset(blocked), len(out)))
+                    out.append((frozenset(pairs), frozenset(blocked)))
     return out
 
 
@@ -141,10 +139,7 @@ def test_enumeration_matches_product_then_filter(n, seed, frac, cap, model, obje
     prob = generate(GenSpec(n=n, model=model, list_cap=cap, deviator_fraction=frac, seed=seed))
     assume(len(prob.deviators) <= 5)
     p = problem(prob.instance, prob.deviators, objective=objective, budget=k)
-    got = [
-        (c.candidate_matching.pairs, c.blocked_set, c.index)
-        for c in enumerate_configurations(p, k)
-    ]
+    got = [(c.candidate_matching.pairs, c.blocked_set) for c in enumerate_configurations(p, k)]
     assert got == reference_configurations(p, k)
 
 
@@ -156,9 +151,7 @@ def triggers_of(p, cfg):
 class TestTruncation:
     def test_tolerated_matched_pair_is_rejected(self):
         p = problem(ordered_cycle(3), {1, 2, 3}, budget=1)
-        cfg = CandidateConfiguration(
-            Matching(frozenset({(1, 2)})), frozenset({(1, 2)}), 0
-        )
+        cfg = CandidateConfiguration(Matching(frozenset({(1, 2)})), frozenset({(1, 2)}))
         res = truncate_and_collect(p, cfg, triggers_of(p, cfg))
         assert res.rejected
         assert res.reason == "tolerated pair is matched"
@@ -166,7 +159,7 @@ class TestTruncation:
 
     def test_collects_and_truncates_preferred_agents(self):
         p = problem(ODD_PATH, {2}, budget=0)
-        cfg = CandidateConfiguration(Matching(frozenset({(2, 3)})), frozenset(), 1)
+        cfg = CandidateConfiguration(Matching(frozenset({(2, 3)})), frozenset())
         res = truncate_and_collect(p, cfg, triggers_of(p, cfg))
         assert not res.rejected
         assert res.cut.keys() == {1}
@@ -177,9 +170,7 @@ class TestTruncation:
     def test_matched_pair_outranked_by_cut(self):
         inst = Instance(4, ((), (3,), (3, 4), (2, 1), (2,)), None)
         p = problem(inst, {1, 2}, budget=0)
-        cfg = CandidateConfiguration(
-            Matching(frozenset({(1, 3), (2, 4)})), frozenset(), 0
-        )
+        cfg = CandidateConfiguration(Matching(frozenset({(1, 3), (2, 4)})), frozenset())
         res = truncate_and_collect(p, cfg, triggers_of(p, cfg))
         assert res.rejected
         assert res.reason == "matched pair (1, 3) falls to the truncation of 3"
@@ -188,9 +179,7 @@ class TestTruncation:
     def test_tolerated_pair_suppresses_its_cut(self):
         inst = Instance(4, ((), (3,), (3, 4), (2, 1), (2,)), None)
         p = problem(inst, {1, 2}, budget=1)
-        cfg = CandidateConfiguration(
-            Matching(frozenset({(1, 3), (2, 4)})), frozenset({(2, 3)}), 0
-        )
+        cfg = CandidateConfiguration(Matching(frozenset({(1, 3), (2, 4)})), frozenset({(2, 3)}))
         res = truncate_and_collect(p, cfg, triggers_of(p, cfg))
         assert not res.rejected
         assert not res.cut
@@ -198,7 +187,7 @@ class TestTruncation:
 
 def test_extension_fails_when_required_agent_cannot_match():
     p = problem(ODD_PATH, {2}, budget=0)
-    cfg = CandidateConfiguration(Matching(frozenset({(2, 3)})), frozenset(), 1)
+    cfg = CandidateConfiguration(Matching(frozenset({(2, 3)})), frozenset())
     res = truncate_and_collect(p, cfg, triggers_of(p, cfg))
     assert extend_via_weighted_matching(p, res, None) is None
 
@@ -274,7 +263,7 @@ def test_sweep_walks_are_the_floor_filtered_stream(
     The walk at budget early stops after stop configurations.  Each walk
     yields the full stream less every configuration of a candidate matching
     whose floor exceeds the budget and every tolerated set that is not live,
-    index for index, each with its candidate's triggers.  A live set holds
+    in order, each with its candidate's triggers.  A live set holds
     the key of every breaking trigger and no key but triggers' (a key is
     the canonical pair under bp, the deviator under ba).  A sweep that is
     only decided keeps no entries.
@@ -295,7 +284,7 @@ def test_sweep_walks_are_the_floor_filtered_stream(
             locked = {key(d, r) for d, r, _, breaks in triggers if breaks}
             keys = {key(d, r) for d, r, _, _ in triggers}
             if floor <= k and locked <= c.blocked_set <= keys:
-                want.append((m_c.pairs, c.blocked_set, c.index, triggers))
+                want.append((m_c.pairs, c.blocked_set, triggers))
         sweep.keep = k < 2
         stream = enumerate_configurations(p, k, _sweep=sweep)
         if k == early:
@@ -304,29 +293,18 @@ def test_sweep_walks_are_the_floor_filtered_stream(
             want = want[:stop]
         else:
             got = list(stream)
-        assert [(c.candidate_matching.pairs, c.blocked_set, c.index, c.triggers)
-                for c in got] == want
+        assert [(c.candidate_matching.pairs, c.blocked_set, c.triggers) for c in got] == want
     decided = fpt._Sweep.of(p)
     decided.search((1,))
     assert decided.kept == []
 
 
-def test_rank_is_the_lexicographic_position():
-    """_rank against itertools.combinations, and _binomials' counts, for pools of up to 8 keys."""
-    for f in range(9):
-        binom = fpt._binomials(f, f)[0]
-        for s in range(f + 1):
-            for want, spots in enumerate(itertools.combinations(range(f), s)):
-                assert fpt._rank(list(spots), f, binom) == want
-        for k in range(f + 1):
-            counts = fpt._binomials(f, k)[1][k + 1]
-            assert counts == tuple(sum(1 for s in range(k + 1)
-                                       for _ in itertools.combinations(range(m), s))
-                                   for m in range(f + 1))
-
-
 def test_the_search_stream_gives_the_full_streams_outcomes(monkeypatch):
-    """optimize_fpt and solve_fpt give the same matching, value and note on the full stream.
+    """optimize_fpt and solve_fpt give the same outcome on the full stream.
+
+    The outcome is the matching, value, note and each part's accepted
+    configuration (candidate matching and tolerated set), so the search's
+    stream accepts the configuration the full stream accepts first.
 
     The reference makes every walk the full stream (enumerate_configurations
     without a sweep, each configuration with its candidate's triggers) run
@@ -343,14 +321,15 @@ def test_the_search_stream_gives_the_full_streams_outcomes(monkeypatch):
             m_c = cfg.candidate_matching
             if m_c.pairs not in triggers:
                 triggers[m_c.pairs] = scan(p, m_c)[0]
-            yield CandidateConfiguration(m_c, cfg.blocked_set, cfg.index, triggers[m_c.pairs])
+            yield CandidateConfiguration(m_c, cfg.blocked_set, triggers[m_c.pairs])
 
     def outcome(p):
         try:
             out = optimize_fpt(p) if p.budget is None else solve_fpt(p)
         except PerfectInfeasible:
             return "no perfect matching"
-        return out.feasible, out.value, out.certificate_note, out.matching and out.matching.pairs
+        return (out.feasible, out.value, out.certificate_note, out.accepted,
+                out.matching and out.matching.pairs)
 
     rng = random.Random(20261020)
     solves = 0
@@ -369,6 +348,59 @@ def test_the_search_stream_gives_the_full_streams_outcomes(monkeypatch):
             monkeypatch.undo()
             assert got == want, (prob, objective, regime, k)
             solves += 1
+
+
+def test_accepted_configurations_replay_to_the_outcome():
+    """outcome.accepted truncates and extends back to the outcome's matching and value.
+
+    Seeded SRI, SMI and path-cycle draws, n 4-11, list cap 2-4, in every
+    regime and objective.  Under optimize_fpt, on any number of parts, the
+    value is the sum of the tolerated sets' sizes (an accepted
+    configuration's value is its set's size once every smaller budget has
+    failed) and each candidate matching lies in the matching.  Where the
+    one part is the whole instance, the optimized outcome and those
+    decided at budgets 0, 1 and 2 replay: truncate_and_collect and
+    extend_via_weighted_matching on the accepted configuration give the
+    same matching and value, which verify strictly.
+    """
+    rng = random.Random(20261023)
+    replayed = dict.fromkeys(itertools.product(SizeRegime, Objective), 0)
+    for _ in range(200):
+        model = rng.choice(list(GenModel))
+        cap = 2 if model is GenModel.PATH_CYCLE_ONLY else rng.randint(2, 4)
+        drawn = generate(GenSpec(n=rng.randint(4, 11), model=model, list_cap=cap,
+                                 deviator_fraction=rng.uniform(0.2, 0.7), seed=rng.getrandbits(32)))
+        for regime, objective in itertools.product(SizeRegime, Objective):
+            p = problem(drawn.instance, drawn.deviators, objective, regime)
+            try:
+                out = optimize_fpt(p)
+            except PerfectInfeasible:
+                continue
+            assert out.value == sum(len(blocked) for _, blocked in out.accepted)
+            assert all(m_c <= out.matching.pairs for m_c, _ in out.accepted)
+            sweeps, _ = fpt._parts(p)
+            if len(sweeps) != 1 or sweeps[0][0].problem.instance is not p.instance:
+                continue
+            target = sweeps[0][0].target
+            for k in (None, 0, 1, 2):
+                q = replace(p, budget=k)
+                got = out if k is None else solve_fpt(q)
+                if not got.feasible:
+                    assert got.accepted == ()
+                    continue
+                [(pairs, blocked)] = got.accepted
+                m_c = Matching(pairs)
+                cfg = CandidateConfiguration(m_c, blocked)
+                trunc = truncate_and_collect(q, cfg, scan(q, m_c)[0])
+                m_ext = extend_via_weighted_matching(q, trunc, target)
+                assert not trunc.rejected and m_ext is not None
+                combined = Matching(m_c.pairs | m_ext.pairs)
+                report = blocking_report(q.instance, combined, q.deviators)
+                value = objective_value(report, objective)
+                assert (combined.pairs, value) == (got.matching.pairs, got.value)
+                assert verify_solution(q, got.matching, got.value, strict=True)
+            replayed[regime, objective] += 1
+    assert min(replayed.values()) >= 20, replayed
 
 
 def test_trusted_matchings_equal_checked_ones(monkeypatch):
@@ -419,11 +451,13 @@ def test_trusted_parts_and_budgets_equal_checked_ones(monkeypatch):
     one-sided entries.  Every Instance._trusted build (the parts _restrict
     cuts under optimize_fpt and solve_fpt in every regime and objective,
     and the zero certificate's H) equals Instance(...) of its lists, and is
-    marked all mutual exactly when its whole is.  Every budget's problem
-    equals DeviatorProblem(...) of its fields.
+    marked all mutual exactly when its whole is.  Every part's problem
+    (DeviatorProblem._trusted) and every budget's equals DeviatorProblem(...)
+    of its fields.
     """
     subs, budgets = [], []
     trusted, with_budget = Instance._trusted, DeviatorProblem._with_budget
+    trusted_problem = DeviatorProblem._trusted
 
     def sub(cls, *args):
         subs.append(trusted(*args))
@@ -433,8 +467,13 @@ def test_trusted_parts_and_budgets_equal_checked_ones(monkeypatch):
         budgets.append(with_budget(self, k))
         return budgets[-1]
 
+    def part(cls, *args):
+        budgets.append(trusted_problem(*args))
+        return budgets[-1]
+
     monkeypatch.setattr(Instance, "_trusted", classmethod(sub))
     monkeypatch.setattr(DeviatorProblem, "_with_budget", at)
+    monkeypatch.setattr(DeviatorProblem, "_trusted", classmethod(part))
     rng = random.Random(20261021)
     seen = [0, 0]
     for seed in range(30):
@@ -475,15 +514,16 @@ class TestSolveFpt:
         assert out.feasible
         assert out.matching.pairs == frozenset({(1, 2)})
         assert out.value == 0
-        assert out.certificate_note == "fpt-bp-any#0"
+        assert out.certificate_note == "fpt-bp-any"
+        assert out.accepted == ((frozenset({(1, 2)}), frozenset()),)
 
     def test_ordered_cycle_budgets(self):
         infeasible = solve_fpt(problem(ordered_cycle(3), {1, 2, 3}, budget=0))
         assert not infeasible.feasible
-        assert infeasible.certificate_note == "fpt-bp-any"
+        assert infeasible.certificate_note == "fpt-bp-any" and infeasible.accepted == ()
         feasible = solve_fpt(problem(ordered_cycle(3), {1, 2, 3}, budget=1))
         assert feasible.feasible and feasible.value <= 1
-        assert re.fullmatch(r"fpt-bp-any#\d+", feasible.certificate_note)
+        assert feasible.certificate_note == "fpt-bp-any" and len(feasible.accepted) == 1
         verify_solution(
             problem(ordered_cycle(3), {1, 2, 3}, budget=1),
             feasible.matching, feasible.value, strict=True,
@@ -499,7 +539,9 @@ class TestSolveFpt:
         p = problem(variable_gadget(), {1, 5}, regime=SizeRegime.PERFECT, budget=0)
         out = solve_fpt(p)
         assert out.feasible and out.value == 0
-        assert re.fullmatch(r"fpt-bp-perfect#\d+", out.certificate_note)
+        assert out.certificate_note == "fpt-bp-perfect"
+        [(m_c, blocked)] = out.accepted
+        assert m_c <= out.matching.pairs and blocked == frozenset()
 
 
 class TestOptimize:
@@ -732,11 +774,13 @@ def test_connected_triangles_optimum(c, m):
         assert (report.optimum_bp, report.optimum_ba) == (c, 2 * c)
 
 
-# Values and notes of the search before it split problems into parts; a
-# problem with one part must still give exactly these.  In the any-size
-# regime the extension matches only what covering the must-match agents
-# needs, so the path pairs are left out there.
-CONNECTED_2_6 = {"bp": (2, "#25"), "ba": (4, "#54")}
+# Values and accepted tolerated sets of the search before it split problems
+# into parts (its notes' configurations #25 under bp and #54 under ba), the
+# candidate matching being CONNECTED_2_6_PAIRS; a problem with one part must
+# still give exactly these.  In the any-size regime the extension matches
+# only what covering the must-match agents needs, so the path pairs are
+# left out there.
+CONNECTED_2_6 = {"bp": (2, {(2, 3), (5, 6)}), "ba": (4, {2, 3, 5, 6})}
 CONNECTED_2_6_PAIRS = ((1, 2), (3, 9), (4, 5), (6, 12))
 CONNECTED_2_6_PATH = ((7, 8), (10, 11))
 
@@ -746,9 +790,10 @@ CONNECTED_2_6_PATH = ((7, 8), (10, 11))
 def test_one_part_outcome_is_unchanged(regime, objective):
     p = replace(connected_triangles(2, 6), objective=objective, size_regime=regime)
     out = optimize_fpt(p)
-    value, index = CONNECTED_2_6[objective.value]
+    value, blocked = CONNECTED_2_6[objective.value]
     assert out.value == value
-    assert out.certificate_note == f"fpt-{objective.value}-{regime.value}{index}"
+    assert out.certificate_note == f"fpt-{objective.value}-{regime.value}"
+    assert out.accepted == ((frozenset(CONNECTED_2_6_PAIRS), frozenset(blocked)),)
     pairs = CONNECTED_2_6_PAIRS + (() if regime is SizeRegime.ANY else CONNECTED_2_6_PATH)
     assert tuple(sorted(out.matching.pairs)) == pairs
     assert verify_solution(p, out.matching, value, strict=True)
@@ -758,8 +803,8 @@ def test_one_part_outcome_is_unchanged(regime, objective):
 # split problems into parts, in both regimes: under bp the walk stops at
 # the optimum's configuration, under ba only budget 4 reaches the optimum.
 CONNECTED_2_6_DECIDED = {
-    ("bp", 2): (2, "#25"), ("bp", 3): (2, "#25"), ("bp", 4): (2, "#25"),
-    ("ba", 2): None, ("ba", 3): None, ("ba", 4): (4, "#54"),
+    ("bp", 2): CONNECTED_2_6["bp"], ("bp", 3): CONNECTED_2_6["bp"], ("bp", 4): CONNECTED_2_6["bp"],
+    ("ba", 2): None, ("ba", 3): None, ("ba", 4): CONNECTED_2_6["ba"],
 }
 
 
@@ -774,8 +819,9 @@ def test_one_part_budget_outcome_is_unchanged(regime, objective, k):
     if want is None:
         assert not out.feasible and out.certificate_note == tag
         return
-    value, index = want
-    assert (out.value, out.certificate_note) == (value, tag + index)
+    value, blocked = want
+    assert (out.value, out.certificate_note) == (value, tag)
+    assert out.accepted == ((frozenset(CONNECTED_2_6_PAIRS), frozenset(blocked)),)
     pairs = CONNECTED_2_6_PAIRS + (() if regime is SizeRegime.ANY else CONNECTED_2_6_PATH)
     assert tuple(sorted(out.matching.pairs)) == pairs
     assert verify_solution(p, out.matching, value, strict=True)
@@ -851,14 +897,16 @@ def test_split_search_sizes_only_the_deviator_components(monkeypatch):
     monkeypatch.setattr(fpt, "max_cardinality_size", counted_size)
     monkeypatch.setattr(classic, "max_cardinality_size", counted_size)
     out = optimize_fpt(p)
-    assert (out.value, out.certificate_note) == (2, "fpt-bp-max#2+2")
+    assert (out.value, out.certificate_note) == (2, "fpt-bp-max")
+    assert out.accepted == ((frozenset({(1, 2)}), frozenset({(2, 3)})),
+                            (frozenset({(4, 5)}), frozenset({(5, 6)})))
     assert len(out.matching.pairs) == 2 + 3
     assert 0 < len(sizes) <= 2 * 2
     assert set(sizes) == {3}
 
 
 def test_walk_over_a_thousand_deviators_reaches_configuration_zero():
-    """500 mutual first-choice pairs, all deviators: stable at configuration #0."""
+    """500 mutual first-choice pairs, all deviators: stable at the first configuration."""
     prefs = [()]
     for a in range(1, 1001, 2):
         prefs += [(a + 1,), (a,)]
@@ -867,7 +915,8 @@ def test_walk_over_a_thousand_deviators_reaches_configuration_zero():
     assert first.candidate_matching.pairs == frozenset((a, a + 1) for a in range(1, 1001, 2))
     out = solve_fpt(p)
     assert out.value == 0
-    assert out.certificate_note.endswith("#0")
+    # each mutual pair is a part of its own, accepted with nothing tolerated
+    assert out.accepted == tuple((frozenset({(a, a + 1)}), frozenset()) for a in range(1, 1001, 2))
 
 
 def fpt_problems():

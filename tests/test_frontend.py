@@ -231,7 +231,7 @@ class TestCli:
                      "--out", str(out_path)])
         assert code == 0
         text = capsys.readouterr().out
-        assert "algorithm fpt-bp-any#" in text
+        assert "algorithm fpt-bp-any" in text.splitlines()
         written = fileio.parse_matching(out_path.read_text())
         assert len(written.pairs) == 1
 
@@ -789,7 +789,7 @@ def test_cli_any_regime_solve_reads_only_lists_near_the_deviators(
     monkeypatch.setattr(fileio, "parse_instance", captured)
     assert main(["solve", str(path), "--regime", "any", "--objective", objective,
                  "--engine", engine, *flags]) == 0
-    note = "bipartite-restriction" if engine == "bipartite" else f"fpt-{objective}-any#0"
+    note = "bipartite-restriction" if engine == "bipartite" else f"fpt-{objective}-any"
     assert capsys.readouterr().out.splitlines()[-2:] == ["value 0", f"algorithm {note}"]
     [read] = reads
     assert read <= set(range(1, 6))

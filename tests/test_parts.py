@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -132,13 +131,19 @@ def test_split_search_matches_the_oracle(parts, objective, regime):
 
 @pytest.mark.parametrize("regime", [SizeRegime.ANY, SizeRegime.MAX_CARDINALITY])
 def test_several_parts_are_reported_in_the_note(regime):
-    """Two ordered triangles far apart: two parts, each optimal at value 1."""
+    """Two ordered triangles far apart: two parts, each optimal at value 1, each accepted apart.
+
+    The note names the search alone; accepted holds each part's
+    configuration, in the whole's ids.
+    """
     tri = problem(Instance(3, ((), (2, 3), (3, 1), (1, 2)), None), {1, 2, 3})
     path = problem(Instance(2, ((), (2,), (1,)), None), set())
     inst, deviators = disjoint_union(tri, path, tri)
     out = optimize_fpt(problem(inst, deviators, regime=regime))
     assert out.value == 2
-    assert re.fullmatch(rf"fpt-bp-{regime.value}#\d+\+\d+", out.certificate_note)
+    assert out.certificate_note == f"fpt-bp-{regime.value}"
+    assert out.accepted == ((frozenset({(1, 2)}), frozenset({(2, 3)})),
+                            (frozenset({(6, 7)}), frozenset({(7, 8)})))
     # the deviator-free pair takes part only in the maximum-cardinality regime
     assert ((4, 5) in out.matching.pairs) == (regime is SizeRegime.MAX_CARDINALITY)
     assert not solve_fpt(problem(inst, deviators, regime=regime, budget=1)).feasible
@@ -148,7 +153,10 @@ def test_last_part_is_only_decided():
     """Deviator 2 alone, then 4, 5, 6 in one ball, where the budget 1 walk stops at value 1."""
     inst = Instance(6, ((), (), (), (), (6,), (6,), (5, 4)), None)
     out = solve_fpt(problem(inst, {2, 4, 5, 6}, budget=1))
-    assert (out.value, out.certificate_note) == (1, "fpt-bp-any#0+1")
+    assert (out.value, out.certificate_note) == (1, "fpt-bp-any")
+    # 2 alone accepts nothing; the second part's walk stops at its second configuration
+    assert out.accepted == ((frozenset(), frozenset()),
+                            (frozenset({(4, 6)}), frozenset({(5, 6)})))
     assert optimize_fpt(problem(inst, {2, 4, 5, 6})).value == 0
 
 
@@ -160,7 +168,7 @@ def test_last_part_is_only_decided():
     k=st.integers(1, 3),
 )
 def test_budget_solve_optimizes_all_but_the_last_part(parts, objective, regime, k):
-    """The last part's index and value are its own walk's at the budget the others leave."""
+    """The last part's configuration and value are its own walk's at the budget the others leave."""
     inst, deviators = disjoint_union(*parts)
     p = problem(inst, deviators, objective, regime, budget=k)
     sweeps, _ = fpt._parts(p)
@@ -175,9 +183,17 @@ def test_budget_solve_optimizes_all_but_the_last_part(parts, objective, regime, 
     assert out.feasible == (alone is not None)
     if out.feasible:
         assert out.value - (k - left) == alone.value
-        indices = [o.certificate_note.rpartition("#")[2] for o in earlier + [alone]]
-        index = "0" if set(indices) == {"0"} else "+".join(indices)
-        assert out.certificate_note == f"fpt-{objective.value}-{regime.value}#{index}"
+        assert out.certificate_note == f"fpt-{objective.value}-{regime.value}"
+        want = []
+        for o, (_, ids) in zip(earlier + [alone], sweeps):
+            [(m_c, blocked)] = o.accepted
+            up = dict(enumerate(ids, 1))
+            if objective is Objective.BLOCKING_PAIRS:
+                blocked = {(up[i], up[j]) for i, j in blocked}
+            else:
+                blocked = {up[d] for d in blocked}
+            want.append((frozenset((up[i], up[j]) for i, j in m_c), frozenset(blocked)))
+        assert out.accepted == tuple(want)
 
 
 def reference_split(p):
