@@ -43,9 +43,11 @@ So each candidate matching is built and scanned once per part, and later
 budgets replay the kept ones.  A walk yields only the configurations its
 budget can accept: none of a candidate whose floor exceeds the budget;
 of the others, only tolerated sets that hold every key of a breaking
-trigger and no key outside the triggers; and, once the smaller budgets
-have been walked, only sets of the budget's size, since an accepted
-configuration's value is at most its set's size.
+trigger and of a first-choice trigger (its agent is free and ranks the
+deviator first, so its cut would leave it nothing to match) and no key
+outside the triggers; and, once the smaller budgets have been walked,
+only sets of the budget's size, since an accepted configuration's value
+is at most its set's size.
 
 A solution names what it accepted in SolveOutcome.accepted: each part's
 candidate matching and tolerated set, which truncation and extension turn
@@ -205,10 +207,12 @@ def enumerate_configurations(p: DeviatorProblem, k: int, *, _sweep: _Sweep | Non
     yielded, each with its candidate's triggers.  A candidate whose floor
     exceeds k yields nothing.  Of the others, only tolerated sets B that
     hold every key of locked and no key outside locked and loose (_scan's
-    masks) are yielded: a set missing a locked key is always rejected by
-    truncation, and a set holding a key with no trigger has the cut of its
-    part inside the triggers' keys, which comes earlier and is answered the
-    same.  When the sweep's least
+    masks) are yielded: a set missing a locked key is always rejected, by
+    truncation when the key's trigger breaks a pair of M_C and by the
+    extension when it is a first-choice trigger, whose agent it cuts to
+    nothing though that agent must be matched; a set holding a key with no
+    trigger has the cut of its part inside the triggers' keys, which comes
+    earlier and is answered the same.  When the sweep's least
     is k, only sets of size k are yielded: a smaller set was tried by the
     walk at its own size's budget (_Sweep.search).  The sets come as locked
     plus the combinations of loose, which keeps the full stream's
@@ -249,21 +253,29 @@ def _scan(
     canonical pair under the pair objective and its deviator d under the
     agent objective, and spot maps each key to its position in the sweep's
     pool.  locked and loose are bit masks over those positions: locked
-    holds the keys of breaking triggers, which every tolerated set that
-    truncation keeps must hold, and loose the other triggers' keys.
+    holds the keys every tolerated set must hold to be extended, and loose
+    the other triggers' keys.  A breaking trigger's key is locked, as
+    truncation rejects a set without it.  So is a first-choice trigger's:
+    back == 1 and not breaking, so r is free in M_C and ranks d first, and
+    left untolerated it cuts r's list to nothing while r must be matched,
+    which the extension always rejects.  Those keys are added after the
+    floor is counted, so the floor stays the count of breaking triggers.
     """
     triggers = _triggers(p.instance, m_c._partner, devs)
     by_pairs = p.objective is Objective.BLOCKING_PAIRS
-    locked = loose = 0
-    for d, r, _, breaks in triggers:
+    locked = first = loose = 0
+    for d, r, back, breaks in triggers:
         bit = 1 << spot[((d, r) if d < r else (r, d)) if by_pairs else d]
         if breaks:
             locked |= bit
+        elif back == 1:  # r ranks d first, so r is free: its cut would leave it nothing
+            first |= bit
         else:
             loose |= bit
     floor = locked.bit_count()
     if not by_pairs and locked:  # a locked pair of two deviators counts both
         floor = len({a for d, r, _, breaks in triggers if breaks for a in (d, r)} & p.deviators)
+    locked |= first
     return triggers, floor, locked, loose & ~locked
 
 
@@ -316,7 +328,10 @@ def extend_via_weighted_matching(
     to: maximum cardinality first, Q covered second.  The result is
     rejected unless all of Q is matched and the combined size reaches the
     target.  Without a target and with Q empty the extension is the empty
-    matching, returned before any adjacency is built.  Returns the
+    matching, returned before any adjacency is built.  An agent of Q cut at
+    rank 1 has no edge, so covering_matching rejects it; the sweep never
+    yields such a cut, as _scan locks the first-choice trigger behind it
+    into every tolerated set, but the full stream does.  Returns the
     extension matching alone; None means reject.  The function keeps the
     name of the weighted version it replaced, under which perfbench's
     tracer probes it.
@@ -326,8 +341,6 @@ def extend_via_weighted_matching(
     m_c = trunc.configuration.candidate_matching
     matched = m_c.matched_agents()
     must = [r for r in sorted(cut) if r not in matched]
-    if any(cut[r] == 1 for r in must):
-        return None
     if not must and target_size is None:
         return Matching._trusted(frozenset(), {})
 

@@ -263,10 +263,11 @@ def test_sweep_walks_are_the_floor_filtered_stream(
     The walk at budget early stops after stop configurations.  Each walk
     yields the full stream less every configuration of a candidate matching
     whose floor exceeds the budget and every tolerated set that is not live,
-    in order, each with its candidate's triggers.  A live set holds
-    the key of every breaking trigger and no key but triggers' (a key is
-    the canonical pair under bp, the deviator under ba).  A sweep that is
-    only decided keeps no entries.
+    in order, each with its candidate's triggers.  A live set holds the key
+    of every locked trigger and no key but triggers' (a key is the canonical
+    pair under bp, the deviator under ba).  A trigger (d, r) is locked when
+    it breaks a pair of M_C, or when r is unmatched by M_C and ranks d
+    first.  A sweep that is only decided keeps no entries.
     """
     prob = generate(GenSpec(n=n, model=model, list_cap=cap, deviator_fraction=frac, seed=seed))
     assume(len(prob.deviators) <= 5)
@@ -281,7 +282,8 @@ def test_sweep_walks_are_the_floor_filtered_stream(
         for c in enumerate_configurations(p, k):
             m_c = c.candidate_matching
             triggers, floor = scan(p, m_c)[:2]
-            locked = {key(d, r) for d, r, _, breaks in triggers if breaks}
+            locked = {key(d, r) for d, r, back, breaks in triggers
+                      if breaks or (back == 1 and r not in m_c._partner)}
             keys = {key(d, r) for d, r, _, _ in triggers}
             if floor <= k and locked <= c.blocked_set <= keys:
                 want.append((m_c.pairs, c.blocked_set, triggers))
@@ -297,6 +299,47 @@ def test_sweep_walks_are_the_floor_filtered_stream(
     decided = fpt._Sweep.of(p)
     decided.search((1,))
     assert decided.kept == []
+
+
+def test_an_untolerated_free_first_choice_is_never_extended():
+    """The lemma that lets the sweep lock first-choice triggers, over the full stream.
+
+    A trigger (d, r) whose r is unmatched by M_C and ranks d first cuts r's
+    list to nothing unless the tolerated set holds its key, yet r must still
+    be matched, so truncation or extension rejects every configuration that
+    leaves such a key out.  Seeded SRI, SMI and path-cycle draws, n 4-10,
+    list cap 2-4, 1-4 deviators, every regime and objective, budget 2.
+    """
+    rng = random.Random(20261024)
+    checked = dict.fromkeys(itertools.product(SizeRegime, Objective), 0)
+    draws = 0
+    while draws < 60:
+        model = rng.choice(list(GenModel))
+        cap = 2 if model is GenModel.PATH_CYCLE_ONLY else rng.randint(2, 4)
+        drawn = generate(GenSpec(n=rng.randint(4, 10), model=model, list_cap=cap,
+                                 deviator_fraction=rng.uniform(0.2, 0.6), seed=rng.getrandbits(32)))
+        if not 1 <= len(drawn.deviators) <= 4:
+            continue
+        draws += 1
+        for regime, objective in itertools.product(SizeRegime, Objective):
+            p = problem(drawn.instance, drawn.deviators, objective, regime, budget=2)
+            by_pairs = objective is Objective.BLOCKING_PAIRS
+            target = None if regime is SizeRegime.ANY else classic.max_cardinality_size(p.instance)
+            scanned = {}
+            for cfg in enumerate_configurations(p, 2):
+                m_c = cfg.candidate_matching
+                if m_c.pairs not in scanned:
+                    triggers = scan(p, m_c)[0]
+                    first = {((d, r) if d < r else (r, d)) if by_pairs else d
+                             for d, r, back, _ in triggers if back == 1 and r not in m_c._partner}
+                    scanned[m_c.pairs] = triggers, first
+                triggers, first = scanned[m_c.pairs]
+                if first <= cfg.blocked_set:
+                    continue
+                trunc = truncate_and_collect(p, cfg, triggers)
+                assert trunc.rejected or extend_via_weighted_matching(p, trunc, target) is None
+                checked[regime, objective] += 1
+    assert min(checked.values()) >= 1000, checked
 
 
 def test_the_search_stream_gives_the_full_streams_outcomes(monkeypatch):
@@ -825,6 +868,37 @@ def test_one_part_budget_outcome_is_unchanged(regime, objective, k):
     pairs = CONNECTED_2_6_PAIRS + (() if regime is SizeRegime.ANY else CONNECTED_2_6_PATH)
     assert tuple(sorted(out.matching.pairs)) == pairs
     assert verify_solution(p, out.matching, value, strict=True)
+
+
+@pytest.mark.parametrize("regime", list(SizeRegime))
+@pytest.mark.parametrize("objective, walked", [(Objective.BLOCKING_PAIRS, 1),
+                                               (Objective.BLOCKING_AGENTS, 28)])
+def test_connected_triangles_truncate_only_what_can_be_extended(monkeypatch, regime, objective,
+                                                                walked):
+    """optimize_fpt on ct(3, 9) truncates 1 configuration under bp and 28 under ba.
+
+    Every tolerated set the sweep yields holds each free first-choice
+    trigger's key, so none of them is cut away and every truncation goes on
+    to an extension.  A sweep that left those keys loose would truncate 551
+    and 4,778.
+    """
+    truncate, extend = fpt.truncate_and_collect, fpt.extend_via_weighted_matching
+    calls = {"truncate": 0, "extend": 0}
+
+    def counted_truncate(*args):
+        calls["truncate"] += 1
+        return truncate(*args)
+
+    def counted_extend(*args):
+        calls["extend"] += 1
+        return extend(*args)
+
+    monkeypatch.setattr(fpt, "truncate_and_collect", counted_truncate)
+    monkeypatch.setattr(fpt, "extend_via_weighted_matching", counted_extend)
+    p = replace(connected_triangles(3, 9), objective=objective, size_regime=regime)
+    out = optimize_fpt(p)
+    assert out.value == (3 if objective is Objective.BLOCKING_PAIRS else 6)
+    assert calls == {"truncate": walked, "extend": walked}
 
 
 def triangles_2_6():
