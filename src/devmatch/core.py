@@ -108,7 +108,8 @@ class Instance:
     is for lists the library has just built and range-checked itself:
     fileio.parse_instance, before its validate_instance call, and fpt's
     sub-instances relabelled from a constructed instance (the search's
-    parts and the zero certificate's H).  Anything else, from inside the
+    parts and the zero certificate's H), which fpt passes as all_mutual, as
+    it drops their one-sided entries.  Anything else, from inside the
     library or out, goes through Instance(...).
     """
 
@@ -119,12 +120,13 @@ class Instance:
 
     @classmethod
     def _trusted(cls, num_agents: int, prefs: tuple[tuple[int, ...], ...],
-                 sides: tuple[int, ...] | None = None) -> Instance:
+                 sides: tuple[int, ...] | None = None, all_mutual: bool = False) -> Instance:
         """The instance of prefs (tuples, ids in 1..num_agents, () first) and sides (0 first)."""
         inst = object.__new__(cls)
         object.__setattr__(inst, "num_agents", num_agents)
         object.__setattr__(inst, "prefs", prefs)
         object.__setattr__(inst, "sides", sides)
+        object.__setattr__(inst, "_all_mutual", all_mutual)
         return inst
 
     def __post_init__(self):
@@ -174,23 +176,17 @@ class Instance:
 
         Solvers pair agents through this view or through both rank tables,
         so a one-sided entry, which validate_instance rejects, is never paired.
-        On an instance that validate_instance passed, or one cut from such an
-        instance, every entry ranks its agent back, so mutual is prefs itself,
-        as it is when first read, and builds no rank table.  Elsewhere each
-        agent's entry is built on first access from the rank tables.
+        On an instance that validate_instance passed, or a sub-instance the
+        configuration search cut dropping one-sided entries, every entry
+        ranks its agent back, so mutual is prefs itself, as it is when first
+        read, and builds no rank table.  Elsewhere each agent's entry is
+        built on first access from the rank tables.
         """
         prefs = self.prefs
         if self._all_mutual:
             return prefs
         ranks = self.ranks
         return _PerAgent(lambda i: tuple([j for j in prefs[i] if i in ranks[j]]))
-
-
-def _inherit_mutual(sub: Instance, whole: Instance) -> Instance:
-    """sub, marked as all mutual when whole is; it must keep or drop each pair from both ends."""
-    if whole._all_mutual:
-        object.__setattr__(sub, "_all_mutual", True)
-    return sub
 
 
 def validate_instance(instance: Instance) -> None:
@@ -365,11 +361,12 @@ def blocking_report(
     A pair {i, j} blocks when i and j are mutually acceptable and each
     strictly prefers the other to its current partner; an unmatched agent
     prefers every acceptable partner.  Both views read the pairs off one
-    scan, _triggers, which the configuration search reads too: each scanned
-    agent reads its own list down to its partner, checking each entry
-    against that entry's rank table only.  The deviator view scans the
-    deviators alone, so its cost does not grow with the number of agents;
-    the full view scans every agent, in time linear in the total list length.
+    scan, _triggers, which also values the configuration search's
+    extensions: each scanned agent reads its own list down to its partner,
+    checking each entry against that entry's rank table only.  The deviator
+    view scans the deviators alone, so its cost does not grow with the
+    number of agents; the full view scans every agent, in time linear in
+    the total list length.
     """
     pairs = _blocking_pairs_of(instance, matching._partner, deviators)
     return BlockingReport(instance, matching, pairs, _deviators_in(pairs, deviators))

@@ -17,14 +17,14 @@ everything else is polynomial.  In the any-size regime the work per
 configuration depends only on the deviators' neighbourhood, not on the
 number of agents: candidate matchings come from a backtracking walk over
 the deviators' lists less their one-sided entries (Instance.mutual) that
-drops a clash as soon as it appears, core's trigger scan of the deviators
-(_scan) gives each candidate matching's floor and the triggers every
-truncation reads, the cut is a dict rather than a copy of the instance, and
-values come from the deviator view of core.blocking_report, counted off the
-same scan without building a report.  The solver touches no preference
-list of agents at acceptability-distance three or more from the deviator
-set, and builds rank tables only of the parts' sub-instances; the tests
-check that by recording every read of Instance.prefs.
+drops a clash as soon as it appears and scans each at its leaf, off rows of
+the deviators' lists read once per part (_candidates), for its floor and
+the triggers every truncation reads.  The cut is a dict rather than a copy
+of the instance, and values are counted off core.blocking_report's scan.
+The solver reads no list at acceptability-distance three or more from the
+deviators (the tests record every read of Instance.prefs), and every part
+is cut all mutual, so it builds rank tables only of its deviators and
+their entries, and the idle agents none.
 
 Both entry points search independent parts one by one and add up their
 optima, exactly: a blocking pair is an edge, so both objectives add up over
@@ -35,12 +35,12 @@ close, and else a component, as matching sizes add up.  Under a budget the
 last part is only decided.
 
 Each part tries budgets 0, 1, 2, ... in turn.  What does not depend on the
-budget (the maximum matching size, the tolerated pool, the scanned
-candidate matchings with their live keys, extension values) lives in the
+budget (the maximum matching size, the tolerated pool, the candidate
+matchings' records with their live keys, extension values) lives in the
 part's _Sweep, which hands itself to each budget's solve_fpt walk as the
 keyword-only _sweep argument; the module keeps no state between calls.
-So each candidate matching is built and scanned once per part, and later
-budgets replay the kept ones.  A walk yields only the configurations its
+So each candidate matching is walked and scanned once per part, and later
+budgets replay the kept records.  A walk yields only the configurations its
 budget can accept: none of a candidate whose floor exceeds the budget;
 of the others, only tolerated sets that hold every key of a breaking
 trigger and of a first-choice trigger (its agent is free and ranks the
@@ -79,8 +79,6 @@ from .core import (
     SizeRegime,
     SolveOutcome,
     _deviator_value,
-    _inherit_mutual,
-    _triggers,
     blocking_report,  # noqa: F401  (re-exported: callers reach it as fpt.blocking_report)
     verify_solution,
 )
@@ -97,14 +95,15 @@ class CandidateConfiguration:
     candidate_matching touches only deviators and their chosen partners.
     blocked_set holds candidate blocking pairs (each containing a deviator,
     disjoint from the matching) under the pair objective, or candidate
-    blocking deviators under the agent objective.  triggers are the
-    candidate matching's, from _scan, in a search's stream, and None in the
-    full enumeration.
+    blocking deviators under the agent objective.  In a search's stream,
+    triggers and key (its pairs tuple, the memo's key) come from the
+    candidate's record (_candidates); the full enumeration leaves them None.
     """
 
     candidate_matching: Matching
     blocked_set: frozenset
     triggers: list | None = field(default=None, compare=False, repr=False)
+    key: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -127,17 +126,19 @@ class TruncationResult:
     configuration: CandidateConfiguration | None = None
 
 
-def _deviator_matchings(inst: Instance, devs: list[int]):
-    """Yield every matching the deviators can choose, in product order.
+def _walk(inst: Instance, devs: list[int]):
+    """Walk every matching the deviators can choose, in product order.
 
     Deviator devs[i] tries the entries of its list that rank it back
     (Instance.mutual) in rank order, then unmatched, and devs[-1] varies
     fastest.  The walk backtracks as soon as a choice clashes: a non-deviator
     partner already taken, a deviator that already chose otherwise or is
     claimed by another deviator, or a claimed deviator not picking its
-    claimant.  So it yields exactly the matchings of the full product of
-    choices, in the product's order.  The walk keeps its own stack, so its
-    depth is not bounded by Python's recursion limit.
+    claimant.  So it reaches exactly the matchings of the full product of
+    choices, in the product's order.  At each it yields the same live
+    objects: the pairs, their partner map and, per deviator, the count of
+    options tried, its choice last.  It keeps its own stack, so its depth is
+    not bounded by Python's recursion limit.
     """
     options = [inst.mutual[d] + (None,) for d in devs]
     dev_set = frozenset(devs)
@@ -149,7 +150,7 @@ def _deviator_matchings(inst: Instance, devs: list[int]):
     while True:
         pos = len(placed)
         if pos == len(devs):
-            yield Matching._trusted(frozenset(pairs), dict(partner))
+            yield pairs, partner, tried
         else:
             d = devs[pos]
             must = partner.get(d)  # a deviator that claimed d
@@ -179,6 +180,12 @@ def _deviator_matchings(inst: Instance, devs: list[int]):
             pairs.pop()
 
 
+def _deviator_matchings(inst: Instance, devs: list[int]):
+    """Yield every matching the deviators can choose, in _walk's order."""
+    for pairs, partner, _ in _walk(inst, devs):
+        yield Matching._trusted(frozenset(pairs), dict(partner))
+
+
 def _tolerable(p: DeviatorProblem) -> list:
     """The sorted pool tolerated sets are drawn from.
 
@@ -203,11 +210,12 @@ def enumerate_configurations(p: DeviatorProblem, k: int, *, _sweep: _Sweep | Non
     objective).  This is the full stream.
 
     _sweep is internal: given a part's _Sweep, the candidate matchings come
-    scanned from it, and only configurations the budget can accept are
-    yielded, each with its candidate's triggers.  A candidate whose floor
+    as its records, and only configurations the budget can accept are
+    yielded, each with its candidate's triggers and key; a candidate's
+    Matching is built only when it yields.  A candidate whose floor
     exceeds k yields nothing.  Of the others, only tolerated sets B that
-    hold every key of locked and no key outside locked and loose (_scan's
-    masks) are yielded: a set missing a locked key is always rejected, by
+    hold every key of locked and no key outside locked and loose (the
+    record's masks) are yielded: a set missing a locked key is rejected, by
     truncation when the key's trigger breaks a pair of M_C and by the
     extension when it is a first-choice trigger, whose agent it cuts to
     nothing though that agent must be matched; a set holding a key with no
@@ -229,54 +237,63 @@ def enumerate_configurations(p: DeviatorProblem, k: int, *, _sweep: _Sweep | Non
         return
 
     pool, least = _sweep.pool, _sweep.least
-    for m_c, triggers, floor, locked, loose in _sweep.scanned():
+    for pairs, partner, triggers, floor, locked, loose in _sweep.scanned():
         fewest = locked.bit_count()
         sizes = range(max(least, fewest), min(k, fewest + loose.bit_count()) + 1)
         if floor <= k and sizes:
+            m_c = Matching._trusted(frozenset(pairs), partner)
             bits = [1 << i for i in range(loose.bit_length()) if loose >> i & 1]  # ascending
             for size in sizes:
                 for extra in itertools.combinations(bits, size - fewest):
                     held = locked | sum(extra)
                     blocked = [pool[i] for i in range(held.bit_length()) if held >> i & 1]
-                    yield CandidateConfiguration(m_c, frozenset(blocked), triggers)
+                    yield CandidateConfiguration(m_c, frozenset(blocked), triggers, pairs)
 
 
-def _scan(
-    p: DeviatorProblem, m_c: Matching, devs: list[int], spot: dict
-) -> tuple[list, int, int, int]:
-    """A candidate matching's triggers, floor and live keys, by core._triggers over devs (sorted).
+def _candidates(p: DeviatorProblem, pool: list) -> Iterator[tuple]:
+    """Each candidate matching M_C's record (pairs, partner, triggers, floor, locked, loose).
 
-    A breaking trigger (d, r, back, breaks) is a blocking pair of M_C whose
-    end across from d keeps its partner in every completion, so it blocks
-    whatever the tolerated set: the floor counts those pairs, or the
-    deviators in them under the agent objective.  A trigger's key is its
-    canonical pair under the pair objective and its deviator d under the
-    agent objective, and spot maps each key to its position in the sweep's
-    pool.  locked and loose are bit masks over those positions: locked
-    holds the keys every tolerated set must hold to be extended, and loose
-    the other triggers' keys.  A breaking trigger's key is locked, as
-    truncation rejects a set without it.  So is a first-choice trigger's:
-    back == 1 and not breaking, so r is free in M_C and ranks d first, and
-    left untolerated it cuts r's list to nothing while r must be matched,
-    which the extension always rejects.  Those keys are added after the
-    floor is counted, so the floor stays the count of breaking triggers.
+    pairs and partner are M_C's.  The triggers (d, r, back, breaks) are
+    core._triggers' scan of the sorted deviators, read off rows of each
+    deviator's list built once in the walk's option order: M_C's are each
+    deviator's rows above its choice.  A breaking trigger blocks whatever
+    the tolerated set, so the floor counts them (their pairs, or their
+    deviators under the agent objective).  A key (the canonical pair, or d
+    under the agent objective) is the bit of its place in pool.  locked
+    holds the keys every extendable tolerated set holds and loose the
+    other triggers' keys: a breaking trigger's key is locked, as truncation
+    rejects a set without it, and so, after the floor is counted, is a
+    first-choice trigger's (back == 1 and not breaking: r is free and ranks
+    d first, so its cut would leave it nothing though it must be matched).
     """
-    triggers = _triggers(p.instance, m_c._partner, devs)
+    inst, devs = p.instance, sorted(p.deviators)
     by_pairs = p.objective is Objective.BLOCKING_PAIRS
-    locked = first = loose = 0
-    for d, r, back, breaks in triggers:
-        bit = 1 << spot[((d, r) if d < r else (r, d)) if by_pairs else d]
-        if breaks:
-            locked |= bit
-        elif back == 1:  # r ranks d first, so r is free: its cut would leave it nothing
-            first |= bit
-        else:
-            loose |= bit
-    floor = locked.bit_count()
-    if not by_pairs and locked:  # a locked pair of two deviators counts both
-        floor = len({a for d, r, _, breaks in triggers if breaks for a in (d, r)} & p.deviators)
-    locked |= first
-    return triggers, floor, locked, loose & ~locked
+    spot = {b: i for i, b in enumerate(pool)}
+    mutual, ranks, table = inst.mutual, inst.ranks, []
+    for d in devs:
+        rows = []
+        for r in mutual[d]:
+            back = ranks[r][d]
+            bit = 1 << spot[((d, r) if d < r else (r, d)) if by_pairs else d]
+            one = bit if back == 1 else 0  # r ranks d first: if r is free, its cut leaves it nothing
+            rows.append((r, ranks[r], back, bit, one, (d, r, back, False), (d, r, back, True)))
+        table.append(rows)
+    for pairs, partner, tried in _walk(inst, devs):
+        triggers, locked, first, loose = [], 0, 0, 0
+        for d, rows, t in zip(devs, table, tried):
+            for r, theirs, back, bit, one, calm, breaking in rows[:t - 1] if d in partner else rows:
+                mate = partner.get(r)
+                if mate is not None and back < theirs[mate]:
+                    triggers.append(breaking)
+                    locked |= bit
+                else:
+                    triggers.append(calm)
+                    first, loose = first | one, loose | bit
+        floor = locked.bit_count()
+        if not by_pairs and locked:  # a locked pair of two deviators counts both
+            floor = len({a for d, r, _, breaks in triggers if breaks for a in (d, r)} & p.deviators)
+        locked |= first
+        yield tuple(pairs), dict(partner), triggers, floor, locked, loose & ~locked
 
 
 def truncate_and_collect(
@@ -284,7 +301,7 @@ def truncate_and_collect(
 ) -> TruncationResult:
     """Apply the must-match truncation rule for one configuration.
 
-    triggers are the candidate matching's, from _scan.  Each one the
+    triggers are the candidate matching's (_candidates).  Each one the
     tolerated set does not cover cuts its agent, so an agent triggered by
     several deviators is cut once, at the best-ranked one.  Rejects when
     tolerated pairs overlap the candidate matching or when an uncovered
@@ -330,7 +347,7 @@ def extend_via_weighted_matching(
     target.  Without a target and with Q empty the extension is the empty
     matching, returned before any adjacency is built.  An agent of Q cut at
     rank 1 has no edge, so covering_matching rejects it; the sweep never
-    yields such a cut, as _scan locks the first-choice trigger behind it
+    yields such a cut, as _candidates locks the first-choice trigger behind it
     into every tolerated set, but the full stream does.  Returns the
     extension matching alone; None means reject.  The function keeps the
     name of the weighted version it replaced, under which perfbench's
@@ -367,21 +384,20 @@ class _Sweep:
     argument.  problem is the part's problem, with no budget.  target is
     the maximum matching size (None in the any-size regime), pool the
     tolerated sets' pool and note the certificate note of every walk's
-    outcome, formatted once.  values maps a memo key (candidate matching,
-    cut) to the value of its extension, or to None when the extension is
-    rejected.  It depends on the configuration alone, so every budget
-    reuses it.  Only values are kept, not matchings, which in the
-    maximum-cardinality regime span the whole part: an extension is redone
-    only when its value fits the budget, which ends the search.
+    outcome, formatted once.  values, the extension memo, maps a
+    candidate's key (its pairs tuple) to {cut: the extension's value, or
+    None when rejected}.  A value depends on the configuration alone, so
+    every budget reuses it.  Matchings, which in the maximum-cardinality
+    regime span the whole part, are not kept: an extension is redone only
+    when its value fits the budget, which ends the search.
 
     Each candidate matching is walked and scanned once per sweep: walk is
-    the one _deviator_matchings walk the budgets share, over the deviators
-    sorted once, and kept holds its scanned entries (m_c, triggers, floor,
-    locked, loose; see _scan) while keep is set, which search does whenever
-    another budget follows.  A later budget replays kept and then goes on
-    with walk, so a sweep that is only decided keeps nothing.  least is the
-    smallest tolerated set a walk yields: search sets it to the budget once
-    every smaller budget has been walked.
+    the _candidates walk the budgets share, and kept holds its records while
+    keep is set, which search does whenever another budget follows.  A
+    later budget replays kept and goes on with walk.  A sweep only decided
+    keeps no record and drops each candidate's memo once its walk has
+    passed it.  least is the smallest tolerated set a walk yields: search
+    sets it to the budget once every smaller budget has been walked.
     """
 
     problem: DeviatorProblem
@@ -397,11 +413,8 @@ class _Sweep:
     def __post_init__(self):
         p = self.problem
         self.pool, self.note = _tolerable(p), _note(p)
-        spot = {b: i for i, b in enumerate(self.pool)}
-        devs = sorted(p.deviators)
-        # a walk over p and spot, not self: a finished sweep is freed without the cyclic collector
-        self.walk = ((m_c, *_scan(p, m_c, devs, spot))
-                     for m_c in _deviator_matchings(p.instance, devs))
+        # a walk over p and pool, not self: a finished sweep is freed without the cyclic collector
+        self.walk = _candidates(p, self.pool)
 
     @classmethod
     def of(cls, p: DeviatorProblem) -> "_Sweep":
@@ -412,7 +425,7 @@ class _Sweep:
         return cls(p, target)
 
     def scanned(self):
-        """Every candidate matching's entry: the kept ones, then the rest of the shared walk."""
+        """Every candidate's record: the kept ones, then the rest of the shared walk."""
         yield from self.kept
         # A loop, not yield from: closing an abandoned stream must not close the walk.
         for entry in self.walk:
@@ -457,26 +470,30 @@ def solve_fpt(p: DeviatorProblem, *, _sweep: _Sweep | None = None) -> SolveOutco
         return _solve_in_parts(p)
     sweep, k = _sweep, p.budget
 
+    candidate = memo = None
     for cfg in enumerate_configurations(p, k, _sweep=sweep):
         trunc = truncate_and_collect(p, cfg, cfg.triggers)
         if trunc.rejected:
             continue
         m_c = cfg.candidate_matching
-        # A key met before, under this budget or a smaller one, is skipped
+        if cfg.key is not candidate:  # a decided walk meets each once: its memo leaves the sweep
+            candidate, values = cfg.key, sweep.values
+            memo = values.setdefault(candidate, {}) if sweep.keep else values.pop(candidate, {})
+        # A cut met before, under this budget or a smaller one, is skipped
         # unless its value now fits: its extension would come out the same.
-        key = (m_c.pairs, tuple(sorted(trunc.cut.items())))
-        if key in sweep.values:
-            known = sweep.values[key]
+        cut = tuple(sorted(trunc.cut.items()))
+        if cut in memo:
+            known = memo[cut]
             if known is None or known > k:
                 continue
         m_ext = extend_via_weighted_matching(p, trunc, sweep.target)
         if m_ext is None:
-            sweep.values[key] = None
+            memo[cut] = None
             continue
         # the extension leaves m_c's agents alone, so the two are disjoint
         combined = Matching._trusted(m_c.pairs | m_ext.pairs, {**m_c._partner, **m_ext._partner})
         value = _deviator_value(p.instance, combined._partner, p.deviators, p.objective)
-        sweep.values[key] = value
+        memo[cut] = value
         if value <= k and (
             p.size_regime is SizeRegime.ANY or verify_solution(p, combined, value)
         ):
@@ -502,20 +519,23 @@ def optimize_fpt(p: DeviatorProblem) -> SolveOutcome:
 
 
 def _restrict(inst: Instance, agents: list[int]) -> Instance:
-    """The sub-instance on ascending agents; agents[i - 1] becomes agent i.
+    """The sub-instance on ascending agents, all mutual; agents[i - 1] becomes agent i.
 
-    Entries outside agents are dropped, as a ball's outer lists reach
-    distance three.  Every agent gives inst itself.  Both ends of a pair
-    are kept or dropped together, so a validated inst's sub-instance reads
-    Instance.mutual off its lists too.  The lists are relabelled from a
-    checked instance into 1..len(agents), so Instance._trusted builds it.
+    Every agent gives inst itself.  Otherwise the relabelling drops entries
+    outside agents, as a ball's outer lists reach distance three, and
+    one-sided entries, found as validate_instance finds them with one set
+    per list (a validated inst has none).  So the cut is marked all mutual:
+    no part or idle matching builds a rank table to read Instance.mutual.
+    The lists come from a constructed instance, so Instance._trusted builds it.
     """
     if len(agents) == inst.num_agents:
         return inst
-    new = {a: i for i, a in enumerate(agents, start=1)}
-    prefs = ((),) + tuple(tuple(new[j] for j in inst.prefs[a] if j in new) for a in agents)
+    new, prefs = {a: i for i, a in enumerate(agents, start=1)}, inst.prefs
+    ranked = None if inst._all_mutual else {a: frozenset(prefs[a]) for a in agents}
+    lists = [tuple([new[j] for j in prefs[a] if j in new and (ranked is None or a in ranked[j])])
+             for a in agents]
     sides = inst.sides and (0,) + tuple(inst.sides[a] for a in agents)
-    return _inherit_mutual(Instance._trusted(len(agents), prefs, sides), inst)
+    return Instance._trusted(len(agents), ((), *lists), sides, all_mutual=True)
 
 
 def _parts(p: DeviatorProblem) -> tuple[list[tuple[_Sweep, list[int]]], list[int]]:
@@ -607,24 +627,25 @@ def solve_bipartite_restriction(p: DeviatorProblem) -> Matching | None:
     """A matching with no deviator blocking pair, certified by Irving's algorithm.
 
     Let H keep the deviators and the agents on their lists, relabelled in
-    ascending id, and only the edges that touch a deviator, each list in
-    its original order (Irving's table reads Instance.mutual).  Any
-    deviator blocking pair is an edge of H ranked as in p, so a stable
-    matching of H has none in p; Irving's algorithm (Irving 1985) finds one
-    whenever H has one, and a bipartite H always has one (Gale & Shapley
-    1962).  Returns None when H has no stable matching.  The name is
-    historical: this test once two-coloured H and ran the proposal
-    algorithm on the two sides.
+    ascending id, and only the mutual edges that touch a deviator, each
+    list in its original order, so H is all mutual (one-sided entries are
+    dropped as _restrict drops them).  Any deviator blocking pair is an
+    edge of H ranked as in p, so a stable matching of H has none in p;
+    Irving's algorithm (Irving 1985) finds one whenever H has one, and a
+    bipartite H always has one (Gale & Shapley 1962).  Returns None when H
+    has no stable matching.  The name is historical: this test once
+    two-coloured H and ran the proposal algorithm on the two sides.
     """
     if p.size_regime is not SizeRegime.ANY:
         raise ValueError("the bipartite restriction works in the any-size regime")
     prefs, devs = p.instance.prefs, p.deviators
     agents = sorted(devs.union(*(prefs[d] for d in devs)))
     new = {a: i for i, a in enumerate(agents, start=1)}
-    h = ((),) + tuple(tuple(new[j] for j in prefs[a] if a in devs or j in devs) for a in agents)
-    # H keeps or drops each edge from both its ends, so it is as mutual as p's instance
+    ranked = None if p.instance._all_mutual else {a: frozenset(prefs[a]) for a in agents}
+    h = ((),) + tuple(tuple(new[j] for j in prefs[a] if (a in devs or j in devs)
+                            and (ranked is None or a in ranked[j])) for a in agents)
     try:
-        m = irving_sr(_inherit_mutual(Instance._trusted(len(agents), h), p.instance))
+        m = irving_sr(Instance._trusted(len(agents), h, all_mutual=True))
     except Unsolvable:
         return None
     return Matching(frozenset((agents[i - 1], agents[j - 1]) for i, j in m.pairs))

@@ -2,7 +2,7 @@
 
 import random
 
-from devmatch import fpt
+from devmatch import core, fpt
 from devmatch.core import DeviatorProblem, Instance, Matching, Objective, SizeRegime
 
 
@@ -54,9 +54,45 @@ def problem(
 
 
 def scan(p: DeviatorProblem, m_c: Matching) -> tuple:
-    """fpt._scan of m_c as a sweep of p scans it, over the sorted deviators and its pool."""
+    """(triggers, floor, locked, loose) of m_c as a sweep of p records them, read off core._triggers.
+
+    The reference for the sweep's own scan (fpt._candidates): core's trigger
+    scan of the sorted deviators, each trigger's key placed by its position
+    in the sweep's pool, the breaking ones locked and counted by the floor
+    (their pairs, or their deviators under the agent objective), then the
+    first-choice ones (back == 1, not breaking) locked too.
+    """
     spot = {b: i for i, b in enumerate(fpt._tolerable(p))}
-    return fpt._scan(p, m_c, sorted(p.deviators), spot)
+    triggers = core._triggers(p.instance, m_c._partner, sorted(p.deviators))
+    by_pairs = p.objective is Objective.BLOCKING_PAIRS
+    locked = first = loose = 0
+    for d, r, back, breaks in triggers:
+        bit = 1 << spot[((d, r) if d < r else (r, d)) if by_pairs else d]
+        if breaks:
+            locked |= bit
+        elif back == 1:
+            first |= bit
+        else:
+            loose |= bit
+    floor = locked.bit_count()
+    if not by_pairs:
+        floor = len({a for d, r, _, breaks in triggers if breaks for a in (d, r)} & p.deviators)
+    locked |= first
+    return triggers, floor, locked, loose & ~locked
+
+
+def mutual_cut(inst: Instance, agents: list, touching=None) -> tuple:
+    """inst's mutual lists of agents, relabelled 1..len(agents) in agents' order, () first.
+
+    Entries outside agents are dropped, and so, given touching, are entries
+    with neither end in it.
+    """
+    new = {a: i for i, a in enumerate(agents, start=1)}
+    return ((),) + tuple(
+        tuple(new[j] for j in inst.mutual[a]
+              if j in new and (touching is None or a in touching or j in touching))
+        for a in agents
+    )
 
 
 def with_one_sided_entries(inst: Instance, rng: random.Random, count: int) -> Instance | None:

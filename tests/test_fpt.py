@@ -40,6 +40,7 @@ from conftest import (
     ordered_cycle,
     problem,
     record_list_reads,
+    mutual_cut,
     scan,
     variable_gadget,
     with_one_sided_entries,
@@ -301,6 +302,40 @@ def test_sweep_walks_are_the_floor_filtered_stream(
     assert decided.kept == []
 
 
+def test_sweep_records_are_the_reference_scan():
+    """Every record a sweep walks is its candidate matching's scan by core._triggers (conftest.scan).
+
+    Seeded SRI, SMI and path-cycle draws, n 4-14, list cap 2-4, 1-6
+    deviators, each also with 1-3 one-sided entries, in every regime and
+    objective: each part's sweep is walked in full, and each record's pairs
+    and partner map must be a matching's, and its triggers, floor, locked
+    and loose masks those of the reference scan on the part's problem.
+    """
+    rng = random.Random(20261025)
+    checked = dict.fromkeys(itertools.product(SizeRegime, Objective), 0)
+    one_sided = 0
+    for _ in range(200):
+        model = rng.choice(list(GenModel))
+        cap = 2 if model is GenModel.PATH_CYCLE_ONLY else rng.randint(2, 4)
+        drawn = generate(GenSpec(n=rng.randint(4, 14), model=model, list_cap=cap,
+                                 deviator_fraction=rng.uniform(0.2, 0.6), seed=rng.getrandbits(32)))
+        if not 1 <= len(drawn.deviators) <= 6:
+            continue
+        extra = with_one_sided_entries(drawn.instance, rng, rng.randint(1, 3))
+        for inst in filter(None, (drawn.instance, extra)):
+            for regime, objective in itertools.product(SizeRegime, Objective):
+                sweeps, _ = fpt._parts(problem(inst, drawn.deviators, objective, regime))
+                for sweep, _ in sweeps:
+                    q = sweep.problem
+                    for pairs, partner, *scanned in sweep.walk:
+                        m_c = Matching(frozenset(pairs))
+                        assert (m_c.pairs, m_c._partner) == (frozenset(pairs), partner)
+                        assert tuple(scanned) == scan(q, m_c)
+                        checked[regime, objective] += 1
+                        one_sided += inst is extra
+    assert min(checked.values()) >= 1000 and one_sided >= 3000, (checked, one_sided)
+
+
 def test_an_untolerated_free_first_choice_is_never_extended():
     """The lemma that lets the sweep lock first-choice triggers, over the full stream.
 
@@ -350,7 +385,8 @@ def test_the_search_stream_gives_the_full_streams_outcomes(monkeypatch):
     stream accepts the configuration the full stream accepts first.
 
     The reference makes every walk the full stream (enumerate_configurations
-    without a sweep, each configuration with its candidate's triggers) run
+    without a sweep, each configuration with its candidate's triggers and a
+    memo key of its pairs) run
     through truncation and extension in order: no floor skip, no live-set or
     size rule.  Seeded SRI, SMI and path-cycle draws, n 4-16, list cap 2-4,
     1-7 deviators, every regime, objective and budget None, 0, 1, 2, 3:
@@ -363,8 +399,8 @@ def test_the_search_stream_gives_the_full_streams_outcomes(monkeypatch):
         for cfg in streamed(p, k):
             m_c = cfg.candidate_matching
             if m_c.pairs not in triggers:
-                triggers[m_c.pairs] = scan(p, m_c)[0]
-            yield CandidateConfiguration(m_c, cfg.blocked_set, triggers[m_c.pairs])
+                triggers[m_c.pairs] = scan(p, m_c)[0], tuple(sorted(m_c.pairs))
+            yield CandidateConfiguration(m_c, cfg.blocked_set, *triggers[m_c.pairs])
 
     def outcome(p):
         try:
@@ -491,20 +527,27 @@ def test_trusted_parts_and_budgets_equal_checked_ones(monkeypatch):
     """Every sub-instance and per-budget problem the search builds unchecked is the checked one.
 
     Seeded SRI and SMI draws, n 6-16, validated, each also with 1-3
-    one-sided entries.  Every Instance._trusted build (the parts _restrict
-    cuts under optimize_fpt and solve_fpt in every regime and objective,
-    and the zero certificate's H) equals Instance(...) of its lists, and is
-    marked all mutual exactly when its whole is.  Every part's problem
+    one-sided entries.  Every Instance._trusted build (the parts and idle
+    agents _restrict cuts under optimize_fpt and solve_fpt in every regime
+    and objective, and the zero certificate's H) equals Instance(...) of its
+    lists and is marked all mutual: a cut's lists are its whole's mutual
+    lists relabelled, and H's are those of the deviators' neighbourhood
+    less the edges that touch no deviator.  Every part's problem
     (DeviatorProblem._trusted) and every budget's equals DeviatorProblem(...)
     of its fields.
     """
-    subs, budgets = [], []
+    subs, budgets, cuts = [], [], []
     trusted, with_budget = Instance._trusted, DeviatorProblem._with_budget
     trusted_problem = DeviatorProblem._trusted
+    restrict = fpt._restrict
 
-    def sub(cls, *args):
-        subs.append(trusted(*args))
+    def sub(cls, *args, **kwargs):
+        subs.append(trusted(*args, **kwargs))
         return subs[-1]
+
+    def cut(inst, agents):
+        cuts.append((agents, restrict(inst, agents)))
+        return cuts[-1][1]
 
     def at(self, k):
         budgets.append(with_budget(self, k))
@@ -517,6 +560,7 @@ def test_trusted_parts_and_budgets_equal_checked_ones(monkeypatch):
     monkeypatch.setattr(Instance, "_trusted", classmethod(sub))
     monkeypatch.setattr(DeviatorProblem, "_with_budget", at)
     monkeypatch.setattr(DeviatorProblem, "_trusted", classmethod(part))
+    monkeypatch.setattr(fpt, "_restrict", cut)
     rng = random.Random(20261021)
     seen = [0, 0]
     for seed in range(30):
@@ -536,7 +580,12 @@ def test_trusted_parts_and_budgets_equal_checked_ones(monkeypatch):
                 for part in subs:
                     checked = Instance(part.num_agents, part.prefs, part.sides)
                     assert part == checked
-                    assert part._all_mutual is inst._all_mutual
+                    assert part._all_mutual
+                for agents, part in cuts:
+                    assert part is inst or part.prefs == mutual_cut(inst, agents)
+                devs = drawn.deviators
+                near = sorted(devs.union(*(inst.prefs[d] for d in devs)))
+                assert subs[-1].prefs == mutual_cut(inst, near, devs)
                 for q in budgets:
                     assert q == DeviatorProblem(q.instance, q.deviators, q.objective,
                                                 q.size_regime, q.budget)
@@ -544,6 +593,7 @@ def test_trusted_parts_and_budgets_equal_checked_ones(monkeypatch):
                 seen[1] += len(budgets)
                 subs.clear()
                 budgets.clear()
+                cuts.clear()
     assert min(seen) > 500, seen
 
 
@@ -767,10 +817,10 @@ def test_search_cost_does_not_grow_with_the_padding(monkeypatch):
     original = Instance._trusted
     inits = 0
 
-    def counted(cls, *args):
+    def counted(cls, *args, **kwargs):
         nonlocal inits
         inits += 1
-        return original(*args)
+        return original(*args, **kwargs)
 
     results = []
     for m in (20, 2000):

@@ -13,7 +13,7 @@ from devmatch.fpt import PerfectInfeasible, optimize_fpt, solve_fpt
 from devmatch.generators import GenModel, GenSpec, generate
 from devmatch.oracle import oracle_solve
 
-from conftest import induce, problem, relabel_instance
+from conftest import induce, mutual_cut, problem, relabel_instance, with_one_sided_entries
 
 
 def disjoint_union(*problems):
@@ -258,11 +258,12 @@ def test_split_matches_the_brute_force_reference():
 
 
 def test_parts_of_a_validated_instance_read_mutual_off_their_lists():
-    """Cutting a part drops both ends of an entry together, so a validated instance's parts stay mutual.
+    """Every part cut from an instance is all mutual: its lists are the whole's mutual lists, relabelled.
 
-    Their Instance.mutual is their prefs, and a split in any regime fills
-    no rank table of the validated instance; an unvalidated instance's
-    parts keep the filtered view.
+    So its Instance.mutual is its prefs, validated or not, with one-sided
+    entries or without, and a split in any regime fills no rank table of
+    the validated instance.  A part that is the whole instance is the
+    instance itself.
     """
     rng = random.Random(18)
     for _ in range(60):
@@ -272,9 +273,53 @@ def test_parts_of_a_validated_instance_read_mutual_off_their_lists():
         for regime in SizeRegime:
             checked, fresh = Instance(n, prefs), Instance(n, prefs)
             validate_instance(checked)
-            for inst in (checked, fresh):
+            one_sided = with_one_sided_entries(fresh, rng, rng.randint(1, 3))
+            for inst in filter(None, (checked, fresh, one_sided)):
                 sweeps, _ = fpt._parts(problem(inst, drawn.deviators, regime=regime))
-                for sweep, _ in sweeps:
+                for sweep, ids in sweeps:
                     sub = sweep.problem.instance
-                    assert (sub.mutual is sub.prefs) == (inst is checked)
+                    if sub is not inst:
+                        assert sub._all_mutual and sub.mutual is sub.prefs
+                        assert sub.prefs == mutual_cut(inst, ids)
             assert len(checked.ranks) == 0
+
+
+def test_unvalidated_parts_and_idle_agents_fill_only_the_deviators_rows(monkeypatch):
+    """A cut part fills rank tables only of its deviators and their entries; the idle cut fills none.
+
+    Seeded SRI and SMI draws, n 6-30, never validated, each also with 1-3
+    one-sided entries, in every regime and objective, optimized and decided
+    at budget 1.  Every sub-instance _restrict cuts is recorded; after the
+    solve, the agents whose rank table it built must lie on its deviators'
+    rows: the deviators and the entries of their lists.  The idle agents'
+    cut has no deviator, so its maximum matching builds no table.
+    """
+    cuts, restrict = [], fpt._restrict
+
+    def recorded(inst, agents):
+        cuts.append((agents, restrict(inst, agents)))
+        return cuts[-1][1]
+
+    monkeypatch.setattr(fpt, "_restrict", recorded)
+    rng = random.Random(20261025)
+    seen = {"part": 0, "idle": 0}
+    for _ in range(40):
+        model = rng.choice([GenModel.SRI_UNIFORM, GenModel.SMI_UNIFORM])
+        drawn = generate(GenSpec(n=rng.randint(6, 30), model=model, list_cap=rng.randint(2, 4),
+                                 deviator_fraction=0.15, seed=rng.getrandbits(32)))
+        one_sided = with_one_sided_entries(drawn.instance, rng, rng.randint(1, 3))
+        for inst in filter(None, (drawn.instance, one_sided)):
+            for regime, objective, budget in itertools.product(SizeRegime, Objective, (None, 1)):
+                p = problem(inst, drawn.deviators, objective, regime, budget)
+                try:
+                    optimize_fpt(p) if budget is None else solve_fpt(p)
+                except PerfectInfeasible:
+                    pass
+                for agents, cut in cuts:
+                    if cut is inst:
+                        continue
+                    devs = [i for i, a in enumerate(agents, 1) if a in drawn.deviators]
+                    assert set(cut.ranks) <= set(devs).union(*(cut.prefs[d] for d in devs))
+                    seen["part" if devs else "idle"] += 1
+                cuts.clear()
+    assert min(seen.values()) >= 100, seen
