@@ -109,8 +109,8 @@ class Instance:
     fileio.parse_instance, before its validate_instance call, and fpt's
     sub-instances relabelled from a constructed instance (the search's
     parts and the zero certificate's H), which fpt passes as all_mutual, as
-    it drops their one-sided entries.  Anything else, from inside the
-    library or out, goes through Instance(...).
+    it drops their one-sided and self entries.  Anything else, from inside
+    the library or out, goes through Instance(...).
     """
 
     num_agents: int
@@ -172,21 +172,22 @@ class Instance:
 
     @cached_property
     def mutual(self) -> dict[int, tuple[int, ...]] | tuple[tuple[int, ...], ...]:
-        """mutual[i] = i's list less the entries that do not rank i back.
+        """mutual[i] = i's list less i itself and the entries that do not rank i back.
 
         Solvers pair agents through this view or through both rank tables,
-        so a one-sided entry, which validate_instance rejects, is never paired.
-        On an instance that validate_instance passed, or a sub-instance the
-        configuration search cut dropping one-sided entries, every entry
-        ranks its agent back, so mutual is prefs itself, as it is when first
-        read, and builds no rank table.  Elsewhere each agent's entry is
-        built on first access from the rank tables.
+        so a one-sided or self entry, which validate_instance rejects, is
+        never paired.  On an instance that validate_instance passed, or a
+        sub-instance the configuration search cut dropping those entries,
+        every entry is another agent that ranks its agent back, so mutual is
+        prefs itself, as it is when first read, and builds no rank table.
+        Elsewhere each agent's entry is built on first access from the rank
+        tables.
         """
         prefs = self.prefs
         if self._all_mutual:
             return prefs
         ranks = self.ranks
-        return _PerAgent(lambda i: tuple([j for j in prefs[i] if i in ranks[j]]))
+        return _PerAgent(lambda i: tuple([j for j in prefs[i] if i in ranks[j] and j != i]))
 
 
 def validate_instance(instance: Instance) -> None:
@@ -302,16 +303,17 @@ def _triggers(instance: Instance, mate: dict[int, int], agents):
 
     mate maps each matched agent to its partner, as Matching keeps it.  j
     runs over i's list down to that partner (all of it when i is unmatched),
-    keeping the entries that rank i back: back is i's rank on j's list, and
-    breaks is set when j's partner ranks below i.  {i, j} blocks exactly
-    when breaks is set or j is unmatched.
+    keeping the entries other than i that rank i back: back is i's rank on
+    j's list, and breaks is set when j's partner ranks below i.  {i, j}
+    blocks exactly when breaks is set or j is unmatched.
     """
     ranks, found = instance.ranks, []
     for i in agents:
         for j in instance.prefs[i][: ranks[i].get(mate.get(i), _UNRANKED) - 1]:
             theirs = ranks[j]
             back = theirs.get(i)
-            if back is not None:  # an unmatched j gets i as its partner: back < back fails
+            # an unmatched j gets i as its partner: back < back fails
+            if back is not None and j != i:
                 found.append((i, j, back, back < theirs.get(mate.get(j, i), _UNRANKED)))
     return found
 

@@ -16,10 +16,10 @@ Running time is exponential only in the number of deviators and the budget;
 everything else is polynomial.  In the any-size regime the work per
 configuration depends only on the deviators' neighbourhood, not on the
 number of agents: candidate matchings come from a backtracking walk over
-the deviators' lists less their one-sided entries (Instance.mutual) that
-drops a clash as soon as it appears and scans each at its leaf, off rows of
-the deviators' lists read once per part (_candidates), for its floor and
-the triggers every truncation reads.  The cut is a dict rather than a copy
+the deviators' lists less their one-sided and self entries (Instance.mutual)
+that drops a clash as soon as it appears and scans each at its leaf, off
+rows of the deviators' lists read once per part (_candidates), for its
+floor and the triggers every truncation reads.  The cut is a dict rather than a copy
 of the instance, and values are counted off core.blocking_report's scan.
 The solver reads no list at acceptability-distance three or more from the
 deviators (the tests record every read of Instance.prefs), and every part
@@ -37,23 +37,22 @@ last part is only decided.
 Each part tries budgets 0, 1, 2, ... in turn.  What does not depend on the
 budget (the maximum matching size, the tolerated pool, the candidate
 matchings' records with their live keys, extension values) lives in the
-part's _Sweep, which hands itself to each budget's solve_fpt walk as the
-keyword-only _sweep argument; the module keeps no state between calls.
-So each candidate matching is walked and scanned once per part, and later
-budgets replay the kept records.  A walk yields only the configurations its
-budget can accept: none of a candidate whose floor exceeds the budget;
-of the others, only tolerated sets that hold every key of a breaking
-trigger and of a first-choice trigger (its agent is free and ranks the
-deviator first, so its cut would leave it nothing to match) and no key
-outside the triggers; and, once the smaller budgets have been walked,
-only sets of the budget's size, since an accepted configuration's value
-is at most its set's size.
+part's _Sweep, the one configuration stream: each budget's walk reads it,
+and the module keeps no state between calls.  So each candidate matching
+is walked and scanned once per part, and later budgets replay the kept
+records.  A walk yields only the configurations its budget can accept:
+none of a candidate whose floor exceeds the budget; of the others, only
+tolerated sets that hold every key of a breaking trigger and of a
+first-choice trigger (its agent is free and ranks the deviator first, so
+its cut would leave it nothing to match) and no key outside the triggers;
+and, once the smaller budgets have been walked, only sets of the budget's
+size, since an accepted configuration's value is at most its set's size.
 
 A solution names what it accepted in SolveOutcome.accepted: each part's
 candidate matching and tolerated set, which truncation and extension turn
 back into that part's matching.  Its note names only the solver,
 objective and regime (fpt-bp-any), not the configuration's position in
-the stream, which a pruned walk could not count cheaply.
+the walk, which a pruned walk could not count cheaply.
 """
 
 from __future__ import annotations
@@ -95,15 +94,16 @@ class CandidateConfiguration:
     candidate_matching touches only deviators and their chosen partners.
     blocked_set holds candidate blocking pairs (each containing a deviator,
     disjoint from the matching) under the pair objective, or candidate
-    blocking deviators under the agent objective.  In a search's stream,
-    triggers and key (its pairs tuple, the memo's key) come from the
-    candidate's record (_candidates); the full enumeration leaves them None.
+    blocking deviators under the agent objective.  triggers and key come
+    from the candidate's record (_candidates): the triggers truncation
+    reads, and the pairs tuple that keys the extension memo.  Every
+    configuration of one candidate holds the same key object.
     """
 
     candidate_matching: Matching
     blocked_set: frozenset
-    triggers: list | None = field(default=None, compare=False, repr=False)
-    key: tuple | None = field(default=None, compare=False, repr=False)
+    triggers: list = field(compare=False, repr=False)
+    key: tuple = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class TruncationResult:
 def _walk(inst: Instance, devs: list[int]):
     """Walk every matching the deviators can choose, in product order.
 
-    Deviator devs[i] tries the entries of its list that rank it back
+    Deviator devs[i] tries the other agents on its list that rank it back
     (Instance.mutual) in rank order, then unmatched, and devs[-1] varies
     fastest.  The walk backtracks as soon as a choice clashes: a non-deviator
     partner already taken, a deviator that already chose otherwise or is
@@ -161,7 +161,7 @@ def _walk(inst: Instance, devs: list[int]):
                 tried[pos] += 1
                 if must is not None:
                     ok, took = c == must, None
-                elif c is None or c == d:
+                elif c is None:
                     ok, took = True, None
                 else:  # a later deviator or a non-deviator, not yet paired
                     ok, took = c not in partner and (c > d or c not in dev_set), c
@@ -180,12 +180,6 @@ def _walk(inst: Instance, devs: list[int]):
             pairs.pop()
 
 
-def _deviator_matchings(inst: Instance, devs: list[int]):
-    """Yield every matching the deviators can choose, in _walk's order."""
-    for pairs, partner, _ in _walk(inst, devs):
-        yield Matching._trusted(frozenset(pairs), dict(partner))
-
-
 def _tolerable(p: DeviatorProblem) -> list:
     """The sorted pool tolerated sets are drawn from.
 
@@ -197,47 +191,29 @@ def _tolerable(p: DeviatorProblem) -> list:
     return sorted({(d, r) if d < r else (r, d) for d in p.deviators for r in p.instance.prefs[d]})
 
 
-def enumerate_configurations(p: DeviatorProblem, k: int, *, _sweep: _Sweep | None = None):
-    """Yield every candidate configuration for budget k, in a fixed order.
+def enumerate_configurations(sweep: _Sweep, k: int) -> Iterator[CandidateConfiguration]:
+    """Yield the configurations of sweep's part that budget k can accept, in a fixed order.
 
-    Deviators are processed in ascending id; each picks a partner from its
-    own list in rank order, or unmatched last.  Combinations that are not
-    matchings (a deviator pair without reciprocity, or a partner claimed
-    twice) never appear.  Each matching is then crossed with every
-    tolerated set: sizes 0..k, lexicographic within a size, drawn from the
-    canonical deviator pairs (pair objective; sets clashing with the
-    matching are skipped) or from the deviators themselves (agent
-    objective).  This is the full stream.
-
-    _sweep is internal: given a part's _Sweep, the candidate matchings come
-    as its records, and only configurations the budget can accept are
-    yielded, each with its candidate's triggers and key; a candidate's
-    Matching is built only when it yields.  A candidate whose floor
-    exceeds k yields nothing.  Of the others, only tolerated sets B that
-    hold every key of locked and no key outside locked and loose (the
-    record's masks) are yielded: a set missing a locked key is rejected, by
-    truncation when the key's trigger breaks a pair of M_C and by the
-    extension when it is a first-choice trigger, whose agent it cuts to
-    nothing though that agent must be matched; a set holding a key with no
-    trigger has the cut of its part inside the triggers' keys, which comes
-    earlier and is answered the same.  When the sweep's least
-    is k, only sets of size k are yielded: a smaller set was tried by the
-    walk at its own size's budget (_Sweep.search).  The sets come as locked
-    plus the combinations of loose, which keeps the full stream's
-    lexicographic order, since two sets of one size compare by their
+    The candidate matchings come as the sweep's records (_candidates), in
+    _walk's order: deviators in ascending id, each taking a partner from
+    its list in rank order, or unmatched last.  Each yields with its
+    triggers and key, and its Matching is built only when it yields.  A
+    candidate whose floor exceeds k yields nothing.  Of the others, only
+    tolerated sets B that hold every key of locked and no key outside
+    locked and loose (the record's masks) are yielded: a set missing a
+    locked key is rejected, by truncation when the key's trigger breaks a
+    pair of M_C and by the extension when it is a first-choice trigger,
+    whose agent it cuts to nothing though that agent must be matched; a set
+    holding a key with no trigger has the cut of its part inside the
+    triggers' keys, which comes earlier and is answered the same.  When the
+    sweep's least is k, only sets of size k are yielded: a smaller set was
+    tried by the walk at its own size's budget (_Sweep.search).  The sets
+    come by size, then lexicographic in the pool's order, as locked plus
+    the combinations of loose: two sets of one size compare by their
     symmetric difference.
     """
-    if _sweep is None:
-        pool, by_pairs = _tolerable(p), p.objective is Objective.BLOCKING_PAIRS
-        for m_c in _deviator_matchings(p.instance, sorted(p.deviators)):
-            free = [b for b in pool if b not in m_c.pairs] if by_pairs else pool
-            for size in range(k + 1):
-                for blocked in itertools.combinations(free, size):
-                    yield CandidateConfiguration(m_c, frozenset(blocked))
-        return
-
-    pool, least = _sweep.pool, _sweep.least
-    for pairs, partner, triggers, floor, locked, loose in _sweep.scanned():
+    pool, least = sweep.pool, sweep.least
+    for pairs, partner, triggers, floor, locked, loose in sweep.scanned():
         fewest = locked.bit_count()
         sizes = range(max(least, fewest), min(k, fewest + loose.bit_count()) + 1)
         if floor <= k and sizes:
@@ -296,12 +272,10 @@ def _candidates(p: DeviatorProblem, pool: list) -> Iterator[tuple]:
         yield tuple(pairs), dict(partner), triggers, floor, locked, loose & ~locked
 
 
-def truncate_and_collect(
-    p: DeviatorProblem, cfg: CandidateConfiguration, triggers: list
-) -> TruncationResult:
+def truncate_and_collect(p: DeviatorProblem, cfg: CandidateConfiguration) -> TruncationResult:
     """Apply the must-match truncation rule for one configuration.
 
-    triggers are the candidate matching's (_candidates).  Each one the
+    cfg.triggers are its candidate matching's (_candidates).  Each one the
     tolerated set does not cover cuts its agent, so an agent triggered by
     several deviators is cut once, at the best-ranked one.  Rejects when
     tolerated pairs overlap the candidate matching or when an uncovered
@@ -314,7 +288,7 @@ def truncate_and_collect(
         return TruncationResult({}, True, "tolerated pair is matched", cfg)
 
     cut: dict[int, int] = {}
-    for d, r, back, breaks in triggers:
+    for d, r, back, breaks in cfg.triggers:
         if (((d, r) if d < r else (r, d)) if by_pairs else d) in blocked:
             continue
         if back < cut.get(r, _UNRANKED):
@@ -346,12 +320,11 @@ def extend_via_weighted_matching(
     rejected unless all of Q is matched and the combined size reaches the
     target.  Without a target and with Q empty the extension is the empty
     matching, returned before any adjacency is built.  An agent of Q cut at
-    rank 1 has no edge, so covering_matching rejects it; the sweep never
-    yields such a cut, as _candidates locks the first-choice trigger behind it
-    into every tolerated set, but the full stream does.  Returns the
-    extension matching alone; None means reject.  The function keeps the
-    name of the weighted version it replaced, under which perfbench's
-    tracer probes it.
+    rank 1 has no edge, so covering_matching would reject it; the sweep
+    never yields such a cut, as _candidates locks the first-choice trigger
+    behind it into every tolerated set.  Returns the extension matching
+    alone; None means reject.  The function keeps the name of the weighted
+    version it replaced, under which perfbench's tracer probes it.
     """
     inst = p.instance
     cut = trunc.cut
@@ -382,7 +355,7 @@ class _Sweep:
 
     search hands the sweep to each budget's solve_fpt walk as its _sweep
     argument.  problem is the part's problem, with no budget.  target is
-    the maximum matching size (None in the any-size regime), pool the
+    its maximum matching size (None in the any-size regime), pool the
     tolerated sets' pool and note the certificate note of every walk's
     outcome, formatted once.  values, the extension memo, maps a
     candidate's key (its pairs tuple) to {cut: the extension's value, or
@@ -401,28 +374,23 @@ class _Sweep:
     """
 
     problem: DeviatorProblem
-    target: int | None
     values: dict = field(default_factory=dict)
     keep: bool = False
     least: int = 0
     kept: list = field(default_factory=list)
+    target: int | None = field(init=False)
     pool: list = field(init=False)
     note: str = field(init=False)
     walk: Iterator = field(init=False, repr=False)
 
     def __post_init__(self):
         p = self.problem
+        self.target = None
+        if p.size_regime is not SizeRegime.ANY:
+            self.target = max_cardinality_size(p.instance)
         self.pool, self.note = _tolerable(p), _note(p)
         # a walk over p and pool, not self: a finished sweep is freed without the cyclic collector
         self.walk = _candidates(p, self.pool)
-
-    @classmethod
-    def of(cls, p: DeviatorProblem) -> "_Sweep":
-        """The sweep of p, a part's problem with no budget."""
-        target = None
-        if p.size_regime is not SizeRegime.ANY:
-            target = max_cardinality_size(p.instance)
-        return cls(p, target)
 
     def scanned(self):
         """Every candidate's record: the kept ones, then the rest of the shared walk."""
@@ -460,7 +428,7 @@ def solve_fpt(p: DeviatorProblem, *, _sweep: _Sweep | None = None) -> SolveOutco
 
     Without _sweep, splits p into parts (_solve_in_parts).  _sweep is
     internal: passed by a part's _Sweep.search, it makes this call walk
-    that part's stream, returning on the first configuration whose
+    that part's configurations, returning on the first configuration whose
     truncation survives, whose extension is accepted, and whose combined
     matching verifies at value <= budget; exhausting it means infeasible.
     """
@@ -471,8 +439,8 @@ def solve_fpt(p: DeviatorProblem, *, _sweep: _Sweep | None = None) -> SolveOutco
     sweep, k = _sweep, p.budget
 
     candidate = memo = None
-    for cfg in enumerate_configurations(p, k, _sweep=sweep):
-        trunc = truncate_and_collect(p, cfg, cfg.triggers)
+    for cfg in enumerate_configurations(sweep, k):
+        trunc = truncate_and_collect(p, cfg)
         if trunc.rejected:
             continue
         m_c = cfg.candidate_matching
@@ -523,16 +491,18 @@ def _restrict(inst: Instance, agents: list[int]) -> Instance:
 
     Every agent gives inst itself.  Otherwise the relabelling drops entries
     outside agents, as a ball's outer lists reach distance three, and
-    one-sided entries, found as validate_instance finds them with one set
-    per list (a validated inst has none).  So the cut is marked all mutual:
-    no part or idle matching builds a rank table to read Instance.mutual.
-    The lists come from a constructed instance, so Instance._trusted builds it.
+    one-sided and self entries, found as validate_instance finds them with
+    one set per list (a validated inst has none).  So the cut is marked all
+    mutual: no part or idle matching builds a rank table to read
+    Instance.mutual.  The lists come from a constructed instance, so
+    Instance._trusted builds it.
     """
     if len(agents) == inst.num_agents:
         return inst
     new, prefs = {a: i for i, a in enumerate(agents, start=1)}, inst.prefs
     ranked = None if inst._all_mutual else {a: frozenset(prefs[a]) for a in agents}
-    lists = [tuple([new[j] for j in prefs[a] if j in new and (ranked is None or a in ranked[j])])
+    lists = [tuple([new[j] for j in prefs[a]
+                    if j in new and (ranked is None or a in ranked[j] and j != a)])
              for a in agents]
     sides = inst.sides and (0,) + tuple(inst.sides[a] for a in agents)
     return Instance._trusted(len(agents), ((), *lists), sides, all_mutual=True)
@@ -573,7 +543,7 @@ def _parts(p: DeviatorProblem) -> tuple[list[tuple[_Sweep, list[int]]], list[int
             parts[label[a]].append(a)
         else:
             idle.append(a)
-    return [(_Sweep.of(DeviatorProblem._trusted(
+    return [(_Sweep(DeviatorProblem._trusted(
                 _restrict(inst, c), frozenset([i for i, a in enumerate(c, 1) if a in devs]),
                 p.objective, p.size_regime)), c)
             for c in parts.values()], idle
@@ -628,11 +598,11 @@ def solve_bipartite_restriction(p: DeviatorProblem) -> Matching | None:
 
     Let H keep the deviators and the agents on their lists, relabelled in
     ascending id, and only the mutual edges that touch a deviator, each
-    list in its original order, so H is all mutual (one-sided entries are
-    dropped as _restrict drops them).  Any deviator blocking pair is an
-    edge of H ranked as in p, so a stable matching of H has none in p;
-    Irving's algorithm (Irving 1985) finds one whenever H has one, and a
-    bipartite H always has one (Gale & Shapley 1962).  Returns None when H
+    list in its original order, so H is all mutual (one-sided and self
+    entries are dropped as _restrict drops them).  Any deviator blocking
+    pair is an edge of H ranked as in p, so a stable matching of H has none
+    in p; Irving's algorithm (Irving 1985) finds one whenever H has one, and
+    a bipartite H always has one (Gale & Shapley 1962).  Returns None when H
     has no stable matching.  The name is historical: this test once
     two-coloured H and ran the proposal algorithm on the two sides.
     """
@@ -643,7 +613,7 @@ def solve_bipartite_restriction(p: DeviatorProblem) -> Matching | None:
     new = {a: i for i, a in enumerate(agents, start=1)}
     ranked = None if p.instance._all_mutual else {a: frozenset(prefs[a]) for a in agents}
     h = ((),) + tuple(tuple(new[j] for j in prefs[a] if (a in devs or j in devs)
-                            and (ranked is None or a in ranked[j])) for a in agents)
+                            and (ranked is None or a in ranked[j] and j != a)) for a in agents)
     try:
         m = irving_sr(Instance._trusted(len(agents), h, all_mutual=True))
     except Unsolvable:

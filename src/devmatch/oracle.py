@@ -46,7 +46,7 @@ class OracleReport:
 
 def _mutual_neighbors(instance: Instance) -> list[list[int]]:
     prefs = instance.prefs
-    return [sorted(j for j in lst if i in prefs[j]) for i, lst in enumerate(prefs)]
+    return [sorted(j for j in lst if i in prefs[j] and j != i) for i, lst in enumerate(prefs)]
 
 
 def _max_size(n: int, neighbors: list[list[int]]) -> int:
@@ -149,7 +149,7 @@ def oracle_solve(problem: DeviatorProblem, cap: int = 14) -> OracleReport:
     stable_sets: list[frozenset[int]] = []
     seen = set()
     devs = problem.deviators
-    rank = [{j: r for r, j in enumerate(lst)} for lst in inst.prefs]
+    rank = [{j: r for r, j in enumerate(lst) if j != i} for i, lst in enumerate(inst.prefs)]
     edges = [(i, j) for i, nbrs in enumerate(_mutual_neighbors(inst)) for j in nbrs if i < j]
     for m in enumerate_matchings(inst, SizeRegime.ANY, cap=cap):
         # a mutually acceptable pair blocks when each end ranks the other above

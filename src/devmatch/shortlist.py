@@ -15,10 +15,9 @@ from .core import (
     DeviatorProblem,
     Instance,
     Matching,
-    Objective,
     SizeRegime,
     SolveOutcome,
-    _blocking_pairs_of,
+    _deviator_value,
     blocking_report,
     objective_value,
 )
@@ -229,15 +228,6 @@ def solve_shortlist_any(p: DeviatorProblem) -> SolveOutcome:
     return SolveOutcome.solution(matching, value, "shortlist-any")
 
 
-def _score(inst: Instance, mate: dict[int, int], agents, p: DeviatorProblem) -> int:
-    """The objective restricted to the deviators among agents, by core's scan."""
-    scan = {a for a in agents if a in p.deviators}
-    found = _blocking_pairs_of(inst, mate, scan)
-    if p.objective is Objective.BLOCKING_PAIRS:
-        return len(found)
-    return len({a for pair in found for a in pair if a in scan})
-
-
 def _mate(pairs: list[tuple[int, int]]) -> dict[int, int]:
     return {a: b for x, y in pairs for a, b in ((x, y), (y, x))}
 
@@ -253,16 +243,16 @@ def _best_hole(inst: Instance, seq: tuple[int, ...], cycle: bool, p: DeviatorPro
     """
     k = len(seq)
     mate = _mate(_leave_out(seq, 0))
-    value = _score(inst, mate, seq, p)
+    value = _deviator_value(inst, mate, p.deviators.intersection(seq), p.objective)
     best = (value, seq[0], 0)
     q = 0
     for _ in range(k - 1 if cycle else (k - 1) // 2):
         window = [seq[t % k] for t in range(q - 1, q + 4) if cycle or 0 <= t < k]
-        value -= _score(inst, mate, window, p)
+        value -= _deviator_value(inst, mate, p.deviators.intersection(window), p.objective)
         a, b, c = seq[q], seq[(q + 1) % k], seq[(q + 2) % k]
         mate[a], mate[b] = b, a
         del mate[c]
-        value += _score(inst, mate, window, p)
+        value += _deviator_value(inst, mate, p.deviators.intersection(window), p.objective)
         q = (q + 2) % k
         best = min(best, (value, seq[q], q))
     return best
@@ -297,7 +287,8 @@ def solve_shortlist_max(p: DeviatorProblem) -> SolveOutcome:
                 for s in ((0, 1) if cycle else (0,))
             ]
             val, chosen = min(
-                ((_score(inst, _mate(m), seq, p), m) for m in candidates),
+                ((_deviator_value(inst, _mate(m), p.deviators.intersection(seq), p.objective), m)
+                 for m in candidates),
                 key=lambda scored: scored[0],
             )
         pairs.extend(chosen)

@@ -1,5 +1,6 @@
 """Shared instance builders for the test suite."""
 
+import itertools
 import random
 
 from devmatch import core, fpt
@@ -81,6 +82,34 @@ def scan(p: DeviatorProblem, m_c: Matching) -> tuple:
     return triggers, floor, locked, loose & ~locked
 
 
+def configuration(p: DeviatorProblem, m_c: Matching, blocked=()) -> fpt.CandidateConfiguration:
+    """The configuration of m_c and blocked, with m_c's triggers (scan) and sorted pairs as key."""
+    return fpt.CandidateConfiguration(m_c, frozenset(blocked), scan(p, m_c)[0],
+                                      tuple(sorted(m_c.pairs)))
+
+
+def full_stream(p: DeviatorProblem, k: int):
+    """Every configuration for budget k, in the search's order: the reference stream.
+
+    The candidate matchings are fpt._walk's, checked by Matching(pairs):
+    deviators in ascending id, each taking an entry of its Instance.mutual
+    list in rank order, or unmatched last.  Each is crossed with every
+    tolerated set: sizes 0..k, lexicographic within a size, drawn from
+    fpt._tolerable's pool (less the matching's pairs under the pair
+    objective).  Each configuration carries its candidate's triggers (scan)
+    and pairs tuple as key, one object per candidate.  No floor, live-set
+    or size rule applies, so this is what the sweep's stream filters.
+    """
+    pool, by_pairs = fpt._tolerable(p), p.objective is Objective.BLOCKING_PAIRS
+    for pairs, _, _ in fpt._walk(p.instance, sorted(p.deviators)):
+        m_c = Matching(frozenset(pairs))
+        triggers, key = scan(p, m_c)[0], tuple(pairs)
+        free = [b for b in pool if b not in m_c.pairs] if by_pairs else pool
+        for size in range(k + 1):
+            for blocked in itertools.combinations(free, size):
+                yield fpt.CandidateConfiguration(m_c, frozenset(blocked), triggers, key)
+
+
 def mutual_cut(inst: Instance, agents: list, touching=None) -> tuple:
     """inst's mutual lists of agents, relabelled 1..len(agents) in agents' order, () first.
 
@@ -110,6 +139,14 @@ def with_one_sided_entries(inst: Instance, rng: random.Random, count: int) -> In
         if rng.random() < 0.5:
             i, j = j, i
         prefs[i].insert(rng.randint(0, len(prefs[i])), j)
+    return Instance(inst.num_agents, tuple(map(tuple, prefs)), inst.sides)
+
+
+def with_self_entries(inst: Instance, rng: random.Random, count: int) -> Instance:
+    """inst with count agents (all, when fewer) each ranking itself, at a random place."""
+    prefs = [list(lst) for lst in inst.prefs]
+    for i in rng.sample(list(inst.agents()), min(count, inst.num_agents)):
+        prefs[i].insert(rng.randint(0, len(prefs[i])), i)
     return Instance(inst.num_agents, tuple(map(tuple, prefs)), inst.sides)
 
 

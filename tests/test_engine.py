@@ -18,7 +18,7 @@ from devmatch.generators import GenModel, GenSpec, generate
 from devmatch.oracle import oracle_solve
 from devmatch.shortlist import ListTooLong
 
-from conftest import problem, with_one_sided_entries
+from conftest import problem, with_one_sided_entries, with_self_entries
 
 DRAWS = [
     (GenModel.SRI_UNIFORM, 3),
@@ -122,35 +122,39 @@ def test_a_drawn_engine_agrees_with_the_oracle(n, seed, model, cap, frac, engine
 
 
 def test_one_sided_entries_count_as_absent_in_every_solver():
-    """optimize_fpt, auto and the oracle agree on draws with 1-3 one-sided entries.
+    """optimize_fpt, auto and the oracle agree on draws with one-sided or self entries.
 
     validate_instance rejects such entries, and the library's solvers treat
     them as absent: 300 seeded draws of n 3-10 (list cap 3, half deviators),
-    every regime and objective, each outcome passing strict verification.
+    each once with 1-3 one-sided entries and once with two agents ranking
+    themselves, every regime and objective.  Each outcome is the optimum of
+    the draw without those entries and passes strict verification.
     """
     rng = random.Random(20261019)
     for seed in range(300):
         drawn = generate(GenSpec(n=rng.randint(3, 10), list_cap=3, deviator_fraction=0.5,
                                  seed=seed))
-        inst = with_one_sided_entries(drawn.instance, rng, rng.randint(1, 3))
-        if inst is None:
-            continue
+        one_sided = with_one_sided_entries(drawn.instance, rng, rng.randint(1, 3))
+        self_ranked = with_self_entries(drawn.instance, random.Random(seed), 2)
         for regime in SizeRegime:
-            report = oracle_solve(problem(inst, drawn.deviators, regime=regime))
-            for objective in Objective:
-                p = problem(inst, drawn.deviators, objective, regime)
-                want = optimum(report, objective)
-                if want is None:
-                    for run in (optimize_fpt, solve):
-                        with pytest.raises(PerfectInfeasible):
-                            run(p)
-                    continue
-                outcomes = [optimize_fpt(p), solve(p)]
-                assert [out.value for out in outcomes] == [want, want], (p, outcomes)
-                witnesses = [out.matching for out in outcomes]
-                witnesses.append(report.witness_per_objective[objective])
-                for matching in witnesses:
-                    assert verify_solution(p, matching, want, strict=True)
+            clean = oracle_solve(problem(drawn.instance, drawn.deviators, regime=regime))
+            for inst in filter(None, (one_sided, self_ranked)):
+                report = oracle_solve(problem(inst, drawn.deviators, regime=regime))
+                for objective in Objective:
+                    p = problem(inst, drawn.deviators, objective, regime)
+                    want = optimum(clean, objective)
+                    assert optimum(report, objective) == want
+                    if want is None:
+                        for run in (optimize_fpt, solve):
+                            with pytest.raises(PerfectInfeasible):
+                                run(p)
+                        continue
+                    outcomes = [optimize_fpt(p), solve(p)]
+                    assert [out.value for out in outcomes] == [want, want], (p, outcomes)
+                    witnesses = [out.matching for out in outcomes]
+                    witnesses.append(report.witness_per_objective[objective])
+                    for matching in witnesses:
+                        assert verify_solution(p, matching, want, strict=True)
 
 
 def test_a_deviator_never_takes_a_one_sided_partner():

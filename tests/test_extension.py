@@ -13,15 +13,10 @@ from devmatch.classic import (
     max_weight_matching,
 )
 from devmatch.core import Instance, Matching, Objective, SizeRegime
-from devmatch.fpt import (
-    CandidateConfiguration,
-    enumerate_configurations,
-    extend_via_weighted_matching,
-    truncate_and_collect,
-)
+from devmatch.fpt import extend_via_weighted_matching, truncate_and_collect
 from devmatch.generators import GenModel, GenSpec, generate
 
-from conftest import problem, scan
+from conftest import configuration, full_stream, problem
 
 _UNRANKED = 1 << 30
 
@@ -105,9 +100,8 @@ def test_native_extension_agrees_with_the_weighted_one(seed, n, cap, model, obje
 def check_extensions(p, k):
     target = None if p.size_regime is SizeRegime.ANY else max_cardinality_size(p.instance)
     near = ball(p)
-    for cfg in enumerate_configurations(p, k):
-        triggers = scan(p, cfg.candidate_matching)[0]
-        trunc = truncate_and_collect(p, cfg, triggers)
+    for cfg in full_stream(p, k):
+        trunc = truncate_and_collect(p, cfg)
         if trunc.rejected:
             continue
         reference = weighted_extension(p, trunc, target)
@@ -149,8 +143,7 @@ def test_nothing_to_cover_needs_no_matching_without_a_target(monkeypatch):
         (SizeRegime.MAX_CARDINALITY, 2, frozenset({(3, 4)})),
     ):
         p = problem(inst, {2}, regime=regime, budget=0)
-        cfg = CandidateConfiguration(Matching(frozenset({(1, 2)})), frozenset(), 0)
-        trunc = truncate_and_collect(p, cfg, scan(p, cfg.candidate_matching)[0])
+        trunc = truncate_and_collect(p, configuration(p, Matching(frozenset({(1, 2)}))))
         assert trunc.cut == {} and not trunc.rejected
         m_ext = extend_via_weighted_matching(p, trunc, target)
         assert (m_ext.pairs, m_ext._partner) == (want, Matching(want)._partner)

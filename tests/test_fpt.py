@@ -22,7 +22,6 @@ from devmatch.core import (
     verify_solution,
 )
 from devmatch.fpt import (
-    CandidateConfiguration,
     PerfectInfeasible,
     enumerate_configurations,
     extend_via_weighted_matching,
@@ -37,6 +36,8 @@ from devmatch.oracle import oracle_solve
 from conftest import (
     Unreachable,
     beyond_distance_two,
+    configuration,
+    full_stream,
     ordered_cycle,
     problem,
     record_list_reads,
@@ -52,7 +53,7 @@ ODD_PATH = Instance(3, ((), (2,), (1, 3), (2,)), None)
 class TestEnumeration:
     def test_single_deviator_order_and_indices(self):
         p = problem(ordered_cycle(3), {1}, budget=1)
-        got = list(enumerate_configurations(p, 1))
+        got = list(full_stream(p, 1))
         want = [
             (frozenset({(1, 2)}), frozenset()),
             (frozenset({(1, 2)}), frozenset({(1, 3)})),
@@ -66,7 +67,7 @@ class TestEnumeration:
 
     def test_non_matchings_are_discarded(self):
         p = problem(ordered_cycle(3), {1, 2}, budget=0)
-        got = [c.candidate_matching.pairs for c in enumerate_configurations(p, 0)]
+        got = [c.candidate_matching.pairs for c in full_stream(p, 0)]
         assert got == [
             frozenset({(1, 2)}),
             frozenset({(1, 3)}),
@@ -77,7 +78,7 @@ class TestEnumeration:
     def test_agent_objective_pool_is_the_deviators(self):
         p = problem(ordered_cycle(3), {1}, objective=Objective.BLOCKING_AGENTS, budget=1)
         got = [(c.candidate_matching.pairs, c.blocked_set)
-               for c in enumerate_configurations(p, 1)]
+               for c in full_stream(p, 1)]
         assert got == [
             (frozenset({(1, 2)}), frozenset()),
             (frozenset({(1, 2)}), frozenset({1})),
@@ -89,10 +90,12 @@ class TestEnumeration:
 
 
 def reference_configurations(p, k):
-    """The stream as the full product of deviator choices, filtered afterwards.
+    """The full stream as the product of deviator choices, filtered afterwards.
 
-    enumerate_configurations prunes clashes during its walk instead; it must
-    yield exactly this list, in this order.
+    Each deviator's choices are its Instance.mutual entries, then unmatched.
+    conftest.full_stream prunes clashes during fpt._walk instead; it must
+    yield exactly this list, in this order.  The pool is read off the
+    deviators' lists, as fpt._tolerable reads it.
     """
     inst = p.instance
     devs = sorted(p.deviators)
@@ -102,7 +105,7 @@ def reference_configurations(p, k):
     else:
         pool = devs
     out = []
-    for combo in itertools.product(*(inst.prefs[d] + (None,) for d in devs)):
+    for combo in itertools.product(*(inst.mutual[d] + (None,) for d in devs)):
         pairs, used = set(), set()
         for d, choice in zip(devs, combo):
             if choice is None:
@@ -140,28 +143,23 @@ def test_enumeration_matches_product_then_filter(n, seed, frac, cap, model, obje
     prob = generate(GenSpec(n=n, model=model, list_cap=cap, deviator_fraction=frac, seed=seed))
     assume(len(prob.deviators) <= 5)
     p = problem(prob.instance, prob.deviators, objective=objective, budget=k)
-    got = [(c.candidate_matching.pairs, c.blocked_set) for c in enumerate_configurations(p, k)]
+    got = [(c.candidate_matching.pairs, c.blocked_set) for c in full_stream(p, k)]
     assert got == reference_configurations(p, k)
-
-
-def triggers_of(p, cfg):
-    """The triggers of cfg's candidate matching, as the search scans them."""
-    return scan(p, cfg.candidate_matching)[0]
 
 
 class TestTruncation:
     def test_tolerated_matched_pair_is_rejected(self):
         p = problem(ordered_cycle(3), {1, 2, 3}, budget=1)
-        cfg = CandidateConfiguration(Matching(frozenset({(1, 2)})), frozenset({(1, 2)}))
-        res = truncate_and_collect(p, cfg, triggers_of(p, cfg))
+        cfg = configuration(p, Matching(frozenset({(1, 2)})), {(1, 2)})
+        res = truncate_and_collect(p, cfg)
         assert res.rejected
         assert res.reason == "tolerated pair is matched"
         assert res.configuration is cfg
 
     def test_collects_and_truncates_preferred_agents(self):
         p = problem(ODD_PATH, {2}, budget=0)
-        cfg = CandidateConfiguration(Matching(frozenset({(2, 3)})), frozenset())
-        res = truncate_and_collect(p, cfg, triggers_of(p, cfg))
+        cfg = configuration(p, Matching(frozenset({(2, 3)})))
+        res = truncate_and_collect(p, cfg)
         assert not res.rejected
         assert res.cut.keys() == {1}
         assert res.cut == {1: 1}
@@ -171,8 +169,8 @@ class TestTruncation:
     def test_matched_pair_outranked_by_cut(self):
         inst = Instance(4, ((), (3,), (3, 4), (2, 1), (2,)), None)
         p = problem(inst, {1, 2}, budget=0)
-        cfg = CandidateConfiguration(Matching(frozenset({(1, 3), (2, 4)})), frozenset())
-        res = truncate_and_collect(p, cfg, triggers_of(p, cfg))
+        cfg = configuration(p, Matching(frozenset({(1, 3), (2, 4)})))
+        res = truncate_and_collect(p, cfg)
         assert res.rejected
         assert res.reason == "matched pair (1, 3) falls to the truncation of 3"
         assert res.cut.keys() == {3}
@@ -180,16 +178,16 @@ class TestTruncation:
     def test_tolerated_pair_suppresses_its_cut(self):
         inst = Instance(4, ((), (3,), (3, 4), (2, 1), (2,)), None)
         p = problem(inst, {1, 2}, budget=1)
-        cfg = CandidateConfiguration(Matching(frozenset({(1, 3), (2, 4)})), frozenset({(2, 3)}))
-        res = truncate_and_collect(p, cfg, triggers_of(p, cfg))
+        cfg = configuration(p, Matching(frozenset({(1, 3), (2, 4)})), {(2, 3)})
+        res = truncate_and_collect(p, cfg)
         assert not res.rejected
         assert not res.cut
 
 
 def test_extension_fails_when_required_agent_cannot_match():
     p = problem(ODD_PATH, {2}, budget=0)
-    cfg = CandidateConfiguration(Matching(frozenset({(2, 3)})), frozenset())
-    res = truncate_and_collect(p, cfg, triggers_of(p, cfg))
+    cfg = configuration(p, Matching(frozenset({(2, 3)})))
+    res = truncate_and_collect(p, cfg)
     assert extend_via_weighted_matching(p, res, None) is None
 
 
@@ -232,15 +230,15 @@ def test_scan_agrees_with_the_blocking_report(n, seed, frac, cap, model, objecti
     prob = generate(GenSpec(n=n, model=model, list_cap=cap, deviator_fraction=frac, seed=seed))
     assume(len(prob.deviators) <= 5)
     p = problem(prob.instance, prob.deviators, objective=objective, budget=1)
-    devs = sorted(p.deviators)
-    for m_c in fpt._deviator_matchings(p.instance, devs):
+    for cfg in full_stream(p, 0):
+        m_c = cfg.candidate_matching
         locked = locked_pairs(p, m_c)
         if objective is Objective.BLOCKING_AGENTS:
             locked = {a for pair in locked for a in pair} & p.deviators
         assert scan(p, m_c)[1] == len(locked)
     if objective is Objective.BLOCKING_PAIRS:
-        for cfg in enumerate_configurations(p, 1):
-            res = truncate_and_collect(p, cfg, triggers_of(p, cfg))
+        for cfg in full_stream(p, 1):
+            res = truncate_and_collect(p, cfg)
             assert res.rejected == (not locked_pairs(p, cfg.candidate_matching) <= cfg.blocked_set)
 
 
@@ -262,34 +260,35 @@ def test_sweep_walks_are_the_floor_filtered_stream(
     """Budgets 0, 1, 2 walked in order on one sweep, as optimize walks them.
 
     The walk at budget early stops after stop configurations.  Each walk
-    yields the full stream less every configuration of a candidate matching
+    yields reference_configurations, the product of deviator choices
+    filtered afterwards, less every configuration of a candidate matching
     whose floor exceeds the budget and every tolerated set that is not live,
-    in order, each with its candidate's triggers.  A live set holds the key
-    of every locked trigger and no key but triggers' (a key is the canonical
-    pair under bp, the deviator under ba).  A trigger (d, r) is locked when
-    it breaks a pair of M_C, or when r is unmatched by M_C and ranks d
-    first.  A sweep that is only decided keeps no entries.
+    in order, each with its candidate's triggers by core's scan.  A live
+    set holds the key of every locked trigger and no key but triggers' (a
+    key is the canonical pair under bp, the deviator under ba).  A trigger
+    (d, r) is locked when it breaks a pair of M_C, or when r is unmatched by
+    M_C and ranks d first.  A sweep that is only decided keeps no entries.
     """
     prob = generate(GenSpec(n=n, model=model, list_cap=cap, deviator_fraction=frac, seed=seed))
     assume(len(prob.deviators) <= 5)
     p = problem(prob.instance, prob.deviators, objective, regime)
-    sweep = fpt._Sweep.of(p)
+    sweep = fpt._Sweep(p)
 
     def key(d, r):
         return ((d, r) if d < r else (r, d)) if objective is Objective.BLOCKING_PAIRS else d
 
     for k in (0, 1, 2):
         want = []
-        for c in enumerate_configurations(p, k):
-            m_c = c.candidate_matching
+        for pairs, blocked in reference_configurations(p, k):
+            m_c = Matching(pairs)
             triggers, floor = scan(p, m_c)[:2]
             locked = {key(d, r) for d, r, back, breaks in triggers
                       if breaks or (back == 1 and r not in m_c._partner)}
             keys = {key(d, r) for d, r, _, _ in triggers}
-            if floor <= k and locked <= c.blocked_set <= keys:
-                want.append((m_c.pairs, c.blocked_set, triggers))
+            if floor <= k and locked <= blocked <= keys:
+                want.append((pairs, blocked, triggers))
         sweep.keep = k < 2
-        stream = enumerate_configurations(p, k, _sweep=sweep)
+        stream = enumerate_configurations(sweep, k)
         if k == early:
             got = list(itertools.islice(stream, stop))
             stream.close()
@@ -297,7 +296,7 @@ def test_sweep_walks_are_the_floor_filtered_stream(
         else:
             got = list(stream)
         assert [(c.candidate_matching.pairs, c.blocked_set, c.triggers) for c in got] == want
-    decided = fpt._Sweep.of(p)
+    decided = fpt._Sweep(p)
     decided.search((1,))
     assert decided.kept == []
 
@@ -360,18 +359,13 @@ def test_an_untolerated_free_first_choice_is_never_extended():
             p = problem(drawn.instance, drawn.deviators, objective, regime, budget=2)
             by_pairs = objective is Objective.BLOCKING_PAIRS
             target = None if regime is SizeRegime.ANY else classic.max_cardinality_size(p.instance)
-            scanned = {}
-            for cfg in enumerate_configurations(p, 2):
+            for cfg in full_stream(p, 2):
                 m_c = cfg.candidate_matching
-                if m_c.pairs not in scanned:
-                    triggers = scan(p, m_c)[0]
-                    first = {((d, r) if d < r else (r, d)) if by_pairs else d
-                             for d, r, back, _ in triggers if back == 1 and r not in m_c._partner}
-                    scanned[m_c.pairs] = triggers, first
-                triggers, first = scanned[m_c.pairs]
+                first = {((d, r) if d < r else (r, d)) if by_pairs else d
+                         for d, r, back, _ in cfg.triggers if back == 1 and r not in m_c._partner}
                 if first <= cfg.blocked_set:
                     continue
-                trunc = truncate_and_collect(p, cfg, triggers)
+                trunc = truncate_and_collect(p, cfg)
                 assert trunc.rejected or extend_via_weighted_matching(p, trunc, target) is None
                 checked[regime, objective] += 1
     assert min(checked.values()) >= 1000, checked
@@ -384,24 +378,12 @@ def test_the_search_stream_gives_the_full_streams_outcomes(monkeypatch):
     configuration (candidate matching and tolerated set), so the search's
     stream accepts the configuration the full stream accepts first.
 
-    The reference makes every walk the full stream (enumerate_configurations
-    without a sweep, each configuration with its candidate's triggers and a
-    memo key of its pairs) run
-    through truncation and extension in order: no floor skip, no live-set or
-    size rule.  Seeded SRI, SMI and path-cycle draws, n 4-16, list cap 2-4,
-    1-7 deviators, every regime, objective and budget None, 0, 1, 2, 3:
-    10,020 solves.
+    The reference makes every walk conftest.full_stream of the sweep's
+    part, run through truncation and extension in order: no floor skip, no
+    live-set or size rule.  Seeded SRI, SMI and path-cycle draws, n 4-16,
+    list cap 2-4, 1-7 deviators, every regime, objective and budget None,
+    0, 1, 2, 3: 10,020 solves.
     """
-    streamed = fpt.enumerate_configurations
-
-    def full_stream(p, k, *, _sweep=None):
-        triggers = {}
-        for cfg in streamed(p, k):
-            m_c = cfg.candidate_matching
-            if m_c.pairs not in triggers:
-                triggers[m_c.pairs] = scan(p, m_c)[0], tuple(sorted(m_c.pairs))
-            yield CandidateConfiguration(m_c, cfg.blocked_set, *triggers[m_c.pairs])
-
     def outcome(p):
         try:
             out = optimize_fpt(p) if p.budget is None else solve_fpt(p)
@@ -422,7 +404,8 @@ def test_the_search_stream_gives_the_full_streams_outcomes(monkeypatch):
         for objective, regime, k in itertools.product(Objective, SizeRegime, (None, 0, 1, 2, 3)):
             p = problem(prob.instance, prob.deviators, objective, regime, k)
             got = outcome(p)
-            monkeypatch.setattr(fpt, "enumerate_configurations", full_stream)
+            monkeypatch.setattr(fpt, "enumerate_configurations",
+                                lambda sweep, k: full_stream(sweep.problem, k))
             want = outcome(p)
             monkeypatch.undo()
             assert got == want, (prob, objective, regime, k)
@@ -469,8 +452,7 @@ def test_accepted_configurations_replay_to_the_outcome():
                     continue
                 [(pairs, blocked)] = got.accepted
                 m_c = Matching(pairs)
-                cfg = CandidateConfiguration(m_c, blocked)
-                trunc = truncate_and_collect(q, cfg, scan(q, m_c)[0])
+                trunc = truncate_and_collect(q, configuration(q, m_c, blocked))
                 m_ext = extend_via_weighted_matching(q, trunc, target)
                 assert not trunc.rejected and m_ext is not None
                 combined = Matching(m_c.pairs | m_ext.pairs)
@@ -487,10 +469,10 @@ def test_trusted_matchings_equal_checked_ones(monkeypatch):
 
     Seeded SRI and SMI draws, n 4-12, half deviators, each also with 1-3
     one-sided entries.  Every matching built through Matching._trusted is
-    compared, after the walk or the solve has ended: the deviator walk's
-    candidate matchings, and what optimize_fpt builds in every regime and
-    objective (extensions, combined and joined matchings, the idle agents'
-    maximum matching).
+    compared, after the walk or the solve has ended: the candidate matchings
+    of the whole problem's stream at budget 1, and what optimize_fpt builds
+    in every regime and objective (candidate matchings, extensions, combined
+    and joined matchings, the idle agents' maximum matching).
     """
     built = []
     trusted = Matching._trusted
@@ -508,13 +490,13 @@ def test_trusted_matchings_equal_checked_ones(monkeypatch):
                                      deviator_fraction=0.5, seed=seed))
             one_sided = with_one_sided_entries(drawn.instance, rng, rng.randint(1, 3))
             for inst in filter(None, (drawn.instance, one_sided)):
-                walked = list(fpt._deviator_matchings(inst, sorted(drawn.deviators)))
+                list(enumerate_configurations(fpt._Sweep(problem(inst, drawn.deviators)), 1))
                 for regime, objective in itertools.product(SizeRegime, Objective):
                     try:
                         optimize_fpt(problem(inst, drawn.deviators, objective, regime))
                     except PerfectInfeasible:
                         pass
-                assert walked and built
+                assert built
                 for m in built:
                     checked = Matching(m.pairs)
                     assert (m.pairs, m._partner) == (checked.pairs, checked._partner)
@@ -1035,12 +1017,25 @@ def test_walk_over_a_thousand_deviators_reaches_configuration_zero():
     for a in range(1, 1001, 2):
         prefs += [(a + 1,), (a,)]
     p = problem(Instance(1000, tuple(prefs), None), range(1, 1001), budget=0)
-    first = next(enumerate_configurations(p, 0))
+    first = next(enumerate_configurations(fpt._Sweep(p), 0))
     assert first.candidate_matching.pairs == frozenset((a, a + 1) for a in range(1, 1001, 2))
     out = solve_fpt(p)
     assert out.value == 0
     # each mutual pair is a part of its own, accepted with nothing tolerated
     assert out.accepted == tuple((frozenset({(a, a + 1)}), frozenset()) for a in range(1, 1001, 2))
+
+
+def test_a_self_entry_is_not_a_walk_option():
+    """Deviator 1 ranks itself and 2: its part walks 2 candidate matchings, not 3.
+
+    A self entry counts as absent, as a one-sided entry does, so the walk
+    tries 2, then unmatched, and does not read 1 as a second unmatched.
+    """
+    inst = Instance(3, ((), (1, 2), (1,), ()))
+    assert inst.mutual[1] == (2,)
+    [(sweep, ids)] = fpt._parts(problem(inst, {1}))[0]
+    assert ids == [1, 2] and sweep.problem.instance.prefs == ((), (2,), (1,))
+    assert [pairs for pairs, *_ in fpt._Sweep(problem(inst, {1})).walk] == [((1, 2),), ()]
 
 
 def fpt_problems():
@@ -1102,8 +1097,8 @@ def test_an_extended_configuration_costs_at_most_its_tolerated_set(prob, objecti
     assume(len(prob.deviators) <= 4)
     p = problem(prob.instance, prob.deviators, objective=objective, regime=regime, budget=k)
     target = None if regime is SizeRegime.ANY else classic.max_cardinality_size(p.instance)
-    for cfg in enumerate_configurations(p, k):
-        trunc = truncate_and_collect(p, cfg, triggers_of(p, cfg))
+    for cfg in full_stream(p, k):
+        trunc = truncate_and_collect(p, cfg)
         m_ext = None if trunc.rejected else extend_via_weighted_matching(p, trunc, target)
         if m_ext is not None:
             combined = Matching(cfg.candidate_matching.pairs | m_ext.pairs)
