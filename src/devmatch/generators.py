@@ -11,7 +11,10 @@ draw order is part of the contract:
 3. Draw the target edge count uniformly from 0..len(candidates), then walk
    the shuffled candidates greedily, keeping a pair whenever both endpoints
    are below list_cap, until the target is met, candidates run out, or
-   fewer than two agents are below list_cap.
+   fewer than two agents are below list_cap.  Late in the walk, when few
+   agents are below list_cap, it goes on as an open-pair scan that skips
+   every pair with an agent at list_cap by one set lookup: it keeps the same
+   pairs and makes no draw.
 4. For each agent in ascending id order, sort its neighbor set ascending
    and shuffle it once; that order is the preference list.
 5. For each agent in ascending id order, one uniform draw decides deviator
@@ -22,15 +25,18 @@ construction, with no repair pass.  Specs over MAX_CANDIDATES pairs are refused.
 
 Every draw rests on `getrandbits` alone: the shuffles and `randint` draw
 below a bound with `getrandbits(k)` and reject what lands past it, as
-`random.Random` does.  Step 2's shuffle is that Fisher-Yates loop written
-out, with the same draws as `rng.shuffle`, over the pairs encoded as the
-ints i * (n + 1) + j.
+`random.Random` does.  Every shuffle (steps 1, 2 and 4) is that
+Fisher-Yates loop written out, with the same draws as `rng.shuffle`; step 2
+shuffles the pairs encoded as the ints i * (n + 1) + j, listed for SmiUniform
+from each side's sorted agents, so no same-side pair is visited.  Seeds
+outside 0..2**64 - 1 are refused, as `random.Random` seeds by absolute value.
 """
 
 from __future__ import annotations
 
 import enum
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .core import DeviatorProblem, Instance, Objective, SizeRegime
@@ -55,7 +61,7 @@ class GenSpec:
 
     list_cap bounds every preference list's length (and hence d_max);
     PATH_CYCLE_ONLY requires list_cap <= 2 so components are paths and
-    cycles.  The seed is interpreted as a 64-bit value.
+    cycles.  The seed must lie in 0..2**64 - 1.
     """
 
     n: int
@@ -85,6 +91,70 @@ def _shuffle(rng: random.Random, x: list) -> None:
         top = low - 1
 
 
+def _walk(candidates: list[int], width: int, sides, cap: int, target: int) -> list[list[int]]:
+    """Step 3's greedy walk: each agent's kept neighbors, in the order kept.
+
+    The walk draws nothing.  Once 16 * room**2 <= len(candidates), where room
+    counts the agents below cap, it goes on over the same iterator keeping
+    only the codes in live: the unkept pairs whose two agents are both below
+    cap, built once at the switch (at most room**2 / 2 codes, a 32nd of the
+    candidates) and shrunk as agents reach cap.  Every code in live is kept
+    when the walk reaches it and every other code would be passed over, so
+    the scan keeps what the plain walk keeps; it stops once live is empty,
+    as nothing further could be kept.
+    """
+    degree = [0] * width
+    neighbors: list[list[int]] = [[] for _ in range(width)]
+    if target == 0:
+        return neighbors
+    kept = 0
+    room = width - 1  # agents below cap
+    rest = iter(candidates)
+    for pair in rest:
+        i = pair // width
+        j = pair - i * width
+        if degree[i] < cap and degree[j] < cap:
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+            degree[i] += 1
+            degree[j] += 1
+            kept += 1
+            room -= (degree[i] == cap) + (degree[j] == cap)
+            if kept == target or room < 2:
+                return neighbors
+            if 16 * room * room <= len(candidates):
+                break
+    else:  # the candidates ran out
+        return neighbors
+
+    open_agents = [a for a in range(1, width) if degree[a] < cap]
+    live = {
+        a * width + b
+        for x, a in enumerate(open_agents)
+        for b in open_agents[x + 1:]
+        if (sides is None or sides[a - 1] != sides[b - 1]) and b not in neighbors[a]
+    }
+    for pair in filter(live.__contains__, rest):
+        i = pair // width
+        j = pair - i * width
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+        degree[i] += 1
+        degree[j] += 1
+        kept += 1
+        if kept == target:
+            break
+        live.discard(pair)
+        for a in (i, j):
+            if degree[a] == cap:
+                open_agents.remove(a)
+                for b in open_agents:
+                    live.discard(a * width + b if a < b else b * width + a)
+        if not live:
+            break
+    return neighbors
+
+
 def generate(spec: GenSpec) -> DeviatorProblem:
     """Draw the instance described by spec; objective/regime/budget defaults."""
     if spec.n < 0:
@@ -93,6 +163,8 @@ def generate(spec: GenSpec) -> DeviatorProblem:
         raise InfeasibleSpec("list_cap must be at least 1")
     if not 0.0 <= spec.deviator_fraction <= 1.0:
         raise InfeasibleSpec("deviator_fraction must lie in [0, 1]")
+    if not 0 <= spec.seed < 1 << 64:
+        raise InfeasibleSpec("seed must lie in 0..2**64 - 1")
     if spec.model is GenModel.PATH_CYCLE_ONLY and spec.list_cap > 2:
         raise InfeasibleSpec("path/cycle instances need list_cap <= 2")
     if spec.model is GenModel.SMI_UNIFORM and 0 < spec.n < 2:
@@ -103,45 +175,32 @@ def generate(spec: GenSpec) -> DeviatorProblem:
         raise InfeasibleSpec(f"n={n} gives {count} candidate pairs, over {MAX_CANDIDATES}")
 
     rng = random.Random(spec.seed)
-
+    width = n + 1  # pair (i, j) is the int i * width + j, so ints sort as pairs do
+    candidates: list[int] = []
     sides = None
     if spec.model is GenModel.SMI_UNIFORM and n:
         ids = list(range(1, n + 1))
-        rng.shuffle(ids)
-        side_zero = set(ids[: n // 2])
-        sides = tuple(0 if i in side_zero else 1 for i in range(1, n + 1))
-
-    width = n + 1  # pair (i, j) is the int i * width + j, so ints sort as pairs do
-    candidates: list[int] = []
-    for i in range(1, n + 1):
-        if sides is None:
+        _shuffle(rng, ids)
+        by_side = (sorted(ids[: n // 2]), sorted(ids[n // 2:]))
+        side_list = [0] * width
+        for i in by_side[1]:
+            side_list[i] = 1
+        sides = tuple(side_list[1:])
+        for i in range(1, n + 1):
+            other = by_side[1 - side_list[i]]
+            base = i * width
+            candidates.extend([base + j for j in other[bisect_right(other, i):]])
+    else:
+        for i in range(1, n + 1):
             candidates.extend(range(i * width + i + 1, (i + 1) * width))
-        else:
-            candidates.extend([i * width + j for j in range(i + 1, n + 1)
-                               if sides[i - 1] != sides[j - 1]])
     _shuffle(rng, candidates)
     target = rng.randint(0, len(candidates)) if candidates else 0
-
-    degree = [0] * (n + 1)
-    neighbors: list[list[int]] = [[] for _ in range(n + 1)]
-    kept = 0
-    room = n  # agents below list_cap; the walk draws nothing, so it may stop once one is left
-    for pair in candidates:
-        if kept == target or room < 2:
-            break
-        i, j = divmod(pair, width)
-        if degree[i] < spec.list_cap and degree[j] < spec.list_cap:
-            neighbors[i].append(j)
-            neighbors[j].append(i)
-            degree[i] += 1
-            degree[j] += 1
-            kept += 1
-            room -= (degree[i] == spec.list_cap) + (degree[j] == spec.list_cap)
+    neighbors = _walk(candidates, width, sides, spec.list_cap, target)
 
     prefs: list[tuple[int, ...]] = [()]
     for i in range(1, n + 1):
         order = sorted(neighbors[i])
-        rng.shuffle(order)
+        _shuffle(rng, order)
         prefs.append(tuple(order))
 
     deviators = frozenset(

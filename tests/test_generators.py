@@ -1,12 +1,13 @@
 """Random instance generation: determinism, validity, parameter handling."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devmatch import cli, generators
+from devmatch import cli, fileio, generators
 from devmatch.core import DeviatorProblem, Instance, Objective, SizeRegime
 from devmatch.generators import GenModel, GenSpec, InfeasibleSpec, generate
 
@@ -23,6 +24,10 @@ class TestValidation:
             generate(GenSpec(n=4, model=GenModel.PATH_CYCLE_ONLY, list_cap=3))
         with pytest.raises(InfeasibleSpec):
             generate(GenSpec(n=1, model=GenModel.SMI_UNIFORM))
+        # random.Random seeds by absolute value, so seed -5 would draw what seed 5 draws.
+        for seed in (-1, -5, 2**64):
+            with pytest.raises(InfeasibleSpec, match="seed"):
+                generate(GenSpec(n=20, seed=seed))
 
     def test_empty_draw(self):
         p = generate(GenSpec(n=0))
@@ -57,11 +62,15 @@ def test_too_many_candidate_pairs_are_refused_before_any_draw(monkeypatch, model
         generate(GenSpec(n=largest, model=model, list_cap=cap))
 
 
-def test_cli_refuses_an_oversized_gen(monkeypatch, capsys):
-    """devmatch gen --n 1000000 exits 2, like the other refused specs."""
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--n", "1000000"], "candidate pairs"),
+    (["gen", "--n", "20", "--seed", "-5"], "seed"),
+], ids=["oversized", "negative-seed"])
+def test_cli_refuses_a_bad_gen_before_any_draw(argv, message, monkeypatch, capsys):
+    """An oversized gen or a negative seed exits 2, like the other refused specs."""
     monkeypatch.setattr(generators, "random", _NoDraws())
-    assert cli.main(["gen", "--n", "1000000"]) == 2
-    assert "candidate pairs" in capsys.readouterr().err
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_same_seed_same_draw():
@@ -134,8 +143,14 @@ def test_deviator_fraction_extremes():
     assert everyone.deviators == frozenset(range(1, 13))
 
 
-def reference_generate(spec: GenSpec) -> DeviatorProblem:
-    """generate's draw procedure on tuple candidates shuffled by random.shuffle, for valid specs."""
+def reference_generate(spec: GenSpec, walk: dict | None = None) -> DeviatorProblem:
+    """generate's draw procedure on tuple candidates shuffled by random.shuffle, for valid specs.
+
+    When walk is a dict, it gets "scan": whether the walk kept a pair short of
+    target with room (the agents below list_cap) at least 2 and 16 * room**2
+    at most len(candidates), which is where generate switches to its open-pair
+    scan, and "target": whether the walk ended on target.
+    """
     n = spec.n
     rng = random.Random(spec.seed)
     sides = None
@@ -155,6 +170,8 @@ def reference_generate(spec: GenSpec) -> DeviatorProblem:
     degree = [0] * (n + 1)
     neighbors = [[] for _ in range(n + 1)]
     kept = 0
+    room = n
+    scan = False
     for i, j in candidates:
         if kept == target:
             break
@@ -164,6 +181,11 @@ def reference_generate(spec: GenSpec) -> DeviatorProblem:
             degree[i] += 1
             degree[j] += 1
             kept += 1
+            room -= (degree[i] == spec.list_cap) + (degree[j] == spec.list_cap)
+            scan = scan or (kept < target and room >= 2
+                            and 16 * room * room <= len(candidates))
+    if walk is not None:
+        walk.update(scan=scan, target=kept == target)
     prefs = [()]
     for i in range(1, n + 1):
         order = sorted(neighbors[i])
@@ -190,3 +212,55 @@ def test_a_large_draw_matches_the_shuffle_reference(model):
     cap = 2 if model is GenModel.PATH_CYCLE_ONLY else 4
     spec = GenSpec(n=450, model=model, list_cap=cap, deviator_fraction=0.2, seed=2**63 + 5)
     assert generate(spec) == reference_generate(spec)
+
+
+# Draws whose target is met inside the open-pair scan; found by a seed search,
+# as a uniform target seldom falls between the switch and the walk's end.
+ENDS_IN_THE_SCAN = (
+    GenSpec(n=120, model=GenModel.SRI_UNIFORM, list_cap=6, seed=573),
+    GenSpec(n=140, model=GenModel.SMI_UNIFORM, list_cap=5, seed=295),
+    GenSpec(n=300, model=GenModel.SRI_UNIFORM, list_cap=3, seed=129),
+    GenSpec(n=400, model=GenModel.SMI_UNIFORM, list_cap=2, seed=226),
+)
+
+
+def test_the_open_pair_scan_keeps_what_the_walk_keeps():
+    """Draws long enough to reach the open-pair scan match the reference walk.
+
+    Seeded SRI and SMI specs (caps 1-6, n 100-600), which mostly run out of
+    candidates inside the scan, plus the draws whose target ends it there.
+    """
+    rng = random.Random(20261022)
+    specs = list(ENDS_IN_THE_SCAN)
+    for _ in range(16):
+        specs.append(GenSpec(n=rng.randint(100, 600),
+                             model=rng.choice([GenModel.SRI_UNIFORM, GenModel.SMI_UNIFORM]),
+                             list_cap=rng.randint(1, 6), deviator_fraction=rng.random(),
+                             seed=rng.getrandbits(64)))
+    ends = set()
+    for spec in specs:
+        walk = {}
+        assert generate(spec) == reference_generate(spec, walk), spec
+        if walk["scan"]:
+            ends.add(walk["target"])
+    assert ends == {True, False}
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (GenSpec(n=800, model=GenModel.SRI_UNIFORM, list_cap=4, deviator_fraction=0.1, seed=800),
+     "34b656ef2f97728f6fe9a1a248b3a5ee7b74288cd3844539ea5b68b6a0e2b41d"),
+    (GenSpec(n=1800, model=GenModel.SMI_UNIFORM, list_cap=4, deviator_fraction=0.1, seed=1800),
+     "72808da1724c58e123578039457a9bd961169a52ed59f10967fd72cd904f0266"),
+    (GenSpec(n=700, model=GenModel.PATH_CYCLE_ONLY, list_cap=2, deviator_fraction=0.1, seed=700),
+     "20fe82695af75c190d3684b4d555ba8542dee9672da363fbdd48d8b0b4b95f30"),
+], ids=["sri-800", "smi-1800", "pathcycle-700"])
+def test_full_size_draws_are_pinned(spec, digest):
+    """The serialized text of three full-size draws, frozen by its SHA-256.
+
+    Each walk reaches the open-pair scan, so a change in draw order or in the
+    pairs kept at full size fails here, not only in the n=6 snapshot.
+    """
+    p = generate(spec)
+    text = fileio.serialize_instance(p.instance, p.deviators)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
