@@ -152,12 +152,10 @@ def _run_solve(args, parser) -> int:
         print("infeasible")
         print(f"algorithm {outcome.certificate_note}")
         return 1
-    for i, j in sorted(outcome.matching.pairs):
-        print(f"{i} {j}")
-    print(f"value {outcome.value}")
-    print(f"algorithm {outcome.certificate_note}")
+    pairs = fileio.serialize_matching(outcome.matching)
+    sys.stdout.write(f"{pairs}value {outcome.value}\nalgorithm {outcome.certificate_note}\n")
     if args.out:
-        _emit(fileio.serialize_matching(outcome.matching), args.out)
+        _emit(pairs, args.out)
     return 0
 
 

@@ -157,7 +157,7 @@ class Instance:
     @cached_property
     def d_max(self) -> int:
         """Length of the longest preference list."""
-        return max((len(p) for p in self.prefs[1:]), default=0)
+        return max(map(len, self.prefs))  # prefs[0] is ()
 
     @cached_property
     def ranks(self) -> dict[int, dict[int, int]]:

@@ -12,11 +12,31 @@ Instance files:
 run 1..n.  parse and serialize are inverse on canonical form (deviators
 sorted, prefs lines ascending).  Matching files hold one `i j` pair per
 line with i < j, sorted lexicographically.
+
+parse_instance reads canonical text, as serialize_instance writes it, in
+bulk: one pattern check of the whole text, then one JSON decode of the
+deviators and prefs.  Canonical text has the lines above in that order,
+prefs 1..n ascending, single spaces, ids without sign or leading zero, no
+comment or blank line, and `\n` after every line.  Any other text, and
+canonical-looking text that fails a check, is parsed line by line, which
+alone reads comments, free whitespace, any prefs order and other integer
+spellings, and alone names an error's line.  Both give the same instance.
 """
 
 from __future__ import annotations
 
+import re
+from itertools import chain
+
 from .core import Instance, Matching, validate_instance
+
+# Canonical instance text.  No group and no repeated group inside the
+# repetition, as each would add to the regex state kept per prefs line; the
+# entries' spelling is left to the JSON decode.
+_CANONICAL = re.compile(
+    r"dsm 1\nagents (?:0|[1-9][0-9]*)\n(?:deviators [ 0-9]+\n)?(?:sides [01]*\n)?"
+    r"(?:prefs [1-9][0-9]*:[ 0-9]*\n)*"
+)
 
 
 class SyntaxError(ValueError):  # noqa: A001 - file-format error, line-addressed
@@ -51,6 +71,49 @@ def parse_instance(text: str) -> tuple[Instance, frozenset[int]]:
     returned instance.ranks is empty until a solver reads it.  The lists
     are range-checked here, so the instance is built by Instance._trusted.
     """
+    parsed = _parse_canonical(text) or _parse_lines(text)
+    validate_instance(parsed[0])
+    return parsed
+
+
+def _parse_canonical(text: str) -> tuple[Instance, frozenset[int]] | None:
+    """The unvalidated parse of canonical text; None for any text it refuses."""
+    if _CANONICAL.fullmatch(text) is None:
+        return None
+    _, agents_line, block = text.split("\n", 2)
+    ids, bits = "", None
+    if block.startswith("deviators "):
+        ids, block = block[10:].split("\n", 1)
+    if block.startswith("sides "):
+        bits, block = block[6:].split("\n", 1)
+    # The count is compared as text before anything is sized by it, so a
+    # huge count is never converted.
+    n = block.count("\n")
+    if agents_line != f"agents {n}" or (bits is not None and len(bits) != n):
+        return None
+    import json  # here, so that importing the CLI does not load it
+
+    # Each "\nprefs i: a b" becomes "],i,[a,b", so the text decodes as the
+    # one list [deviators, 1, prefs of 1, 2, prefs of 2, ...].  A colon not
+    # followed by a space or the line's end is left in, and refused.
+    rows = (("\n" + block).replace(": ", ",[").replace(":\n", ",[\n")
+            .replace("\nprefs ", "],").replace(" ", ","))
+    try:
+        decoded = json.loads("[[" + ids.replace(" ", ",") + rows + "]]")
+    except ValueError:  # a doubled or stray space, a leading zero, a huge integer
+        return None
+    deviators, lists = decoded[0], decoded[2::2]
+    agents = set(range(1, n + 1))
+    if (decoded[1::2] != list(range(1, n + 1)) or not agents.issuperset(deviators)
+            or not agents.issuperset(chain.from_iterable(lists))):
+        return None
+    sides = None if bits is None else (0,) + tuple(map(int, bits))
+    prefs = ((),) + tuple(map(tuple, lists))
+    return Instance._trusted(n, prefs, sides), frozenset(deviators)
+
+
+def _parse_lines(text: str) -> tuple[Instance, frozenset[int]]:
+    """The unvalidated parse of any instance text, line by line."""
     lines = _tokens(text)
     if not lines:
         raise SyntaxError(1, "empty input")
@@ -84,9 +147,10 @@ def parse_instance(text: str) -> tuple[Instance, frozenset[int]]:
     sides = None
     if pos < len(lines) and lines[pos][1][0] == "sides":
         lineno, toks = lines[pos]
-        if len(toks) != 2 or len(toks[1]) != n or set(toks[1]) - {"0", "1"}:
+        bits = toks[1] if len(toks) == 2 else ""  # a 0-agent file's line is "sides "
+        if len(toks) > 2 or len(bits) != n or set(bits) - {"0", "1"}:
             raise SyntaxError(lineno, f"expected 'sides' with {n} characters of 0/1")
-        sides = (0,) + tuple(int(ch) for ch in toks[1])
+        sides = (0,) + tuple(int(ch) for ch in bits)
         pos += 1
 
     # Checked before anything is sized by n, so a huge count fails here.
@@ -113,9 +177,7 @@ def parse_instance(text: str) -> tuple[Instance, frozenset[int]]:
     # at least n lines, each naming a distinct agent in 1..n: every agent has one
     prefs[0] = ()
 
-    instance = Instance._trusted(n, tuple(prefs), sides)
-    validate_instance(instance)
-    return instance, deviators
+    return Instance._trusted(n, tuple(prefs), sides), deviators
 
 
 def serialize_instance(instance: Instance, deviators: frozenset[int] = frozenset()) -> str:

@@ -270,11 +270,15 @@ def test_importing_the_package_loads_core_alone():
 
 
 def test_the_cli_loads_each_module_where_it_is_used(tmp_path):
-    """Importing the CLI, and validating a file, load no solver, oracle, generator or reduction."""
+    """Importing the CLI, and validating a file, load no solver, oracle, generator or reduction.
+
+    Nor does importing the CLI load json, which only the canonical parse reads.
+    """
     path = tmp_path / "cycle.dsm"
     path.write_text(fileio.serialize_instance(generate(GenSpec(n=12, seed=4)).instance))
     code = (
         "import sys, devmatch.cli\n"
+        "print('json' in sys.modules)\n"
         "lazy = ('classic', 'fpt', 'generators', 'oracle', 'reductions', 'shortlist')\n"
         "print([m for m in lazy if f'devmatch.{m}' in sys.modules])\n"
         f"devmatch.cli.main(['validate', {str(path)!r}])\n"
@@ -288,7 +292,7 @@ def test_the_cli_loads_each_module_where_it_is_used(tmp_path):
         capture_output=True, text=True, timeout=120, check=True,
     )
     lines = done.stdout.split("\n")
-    assert lines[:2] == ["[]", "ok agents=12 deviators=0 d_max=3"], done.stdout
-    assert lines[2] == "[]"
+    assert lines[:3] == ["False", "[]", "ok agents=12 deviators=0 d_max=3"], done.stdout
+    assert lines[3] == "[]"
     assert lines[-2] == "True"
 

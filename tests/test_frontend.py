@@ -18,8 +18,9 @@ from devmatch.core import (
     SelfRank,
     SidedPairViolation,
     SizeRegime,
+    validate_instance,
 )
-from devmatch.generators import GenSpec, GenModel, generate
+from devmatch.generators import GenSpec, GenModel, InfeasibleSpec, generate
 from devmatch.reductions import CnfFormula, sat_to_perfect_smi
 
 from conftest import ordered_cycle, record_list_reads
@@ -119,6 +120,13 @@ class TestRoundTrip:
         inst, devs = fileio.parse_instance(text)
         assert inst == p.instance
         assert devs == p.deviators
+
+    @pytest.mark.parametrize("sides", [None, (0,)])
+    def test_zero_agents(self, sides):
+        inst = Instance(0, ((),), sides)
+        text = fileio.serialize_instance(inst)
+        assert fileio.parse_instance(text) == (inst, frozenset())
+        assert fileio._parse_canonical(text) == fileio._parse_lines(text)
 
 
 class TestMatchingFormat:
@@ -586,7 +594,13 @@ def reference_parse_instance(text):
 
 CORRUPTIONS = (
     "bad int", "out of range", "one-sided entry", "self rank", "duplicate entry",
-    "dropped back-entry", "duplicate line", "missing line", "same side",
+    "dropped back-entry", "duplicate line", "missing line", "same side", "glued colon",
+)
+
+# Changes that keep a file's meaning but not its canonical form; the token
+# edits come first, so no later change rejoins the line they touched.
+FORMATS = (
+    "plus sign", "leading zero", "double space", "tab", "comment", "crlf", "no final newline",
 )
 
 
@@ -603,6 +617,9 @@ def corrupt(lines, kind, n, draw):
         return
     if kind == "missing line":
         del lines[row]
+        return
+    if kind == "glued colon":  # "prefs 1:2"
+        lines[row] = lines[row].replace(": ", ":", 1)
         return
     if kind == "same side":
         sides_row = next((i for i, line in enumerate(lines) if line.startswith("sides ")), None)
@@ -640,6 +657,36 @@ def corrupt(lines, kind, n, draw):
     lines[row] = " ".join(head + entries)
 
 
+def reformat(lines, kind, draw):
+    """Apply one meaning-keeping change to one line (crlf and no final newline: to the join)."""
+    if kind in ("crlf", "no final newline"):
+        return
+    row = draw(st.integers(0, len(lines) - 1))
+    line = lines[row]
+    if kind in ("double space", "tab"):
+        at = draw(st.sampled_from([i for i, ch in enumerate(line) if ch == " "]))
+        lines[row] = line[:at] + ("  " if kind == "double space" else "\t") + line[at + 1:]
+    elif kind == "comment":
+        lines[row] += " # note"
+    else:  # an integer token after the header: +3 or 03
+        spots = [(r, t) for r, line in enumerate(lines[1:], start=1) if not line.startswith("sides")
+                 for t, tok in enumerate(line.split()) if tok.rstrip(":").isdigit()]
+        r, t = draw(st.sampled_from(spots))
+        toks = lines[r].split()
+        toks[t] = ("+" if kind == "plus sign" else "0") + toks[t]
+        lines[r] = " ".join(toks)
+
+
+def join(lines, formats):
+    text = ("\r\n" if "crlf" in formats else "\n").join(lines)
+    return text if "no final newline" in formats else text + "\n"
+
+
+def validated(parsed):
+    validate_instance(parsed[0])
+    return parsed
+
+
 def outcome(parse, text):
     """What parse does with text: its result, or the error's class, message and line."""
     try:
@@ -654,11 +701,16 @@ def outcome(parse, text):
     n=st.integers(2, 16),
     model=st.sampled_from(GenModel),
     kinds=st.lists(st.sampled_from(CORRUPTIONS), max_size=2),
+    formats=st.lists(st.sampled_from(FORMATS), max_size=2, unique=True),
     shuffled=st.booleans(),
     data=st.data(),
 )
-def test_parse_instance_matches_the_reference(seed, n, model, kinds, shuffled, data):
-    """Clean and corrupted files parse to the same instance, or fail the same way."""
+def test_parse_instance_matches_the_reference(seed, n, model, kinds, formats, shuffled, data):
+    """Clean, reformatted and corrupted files parse to the same instance, or fail the same way.
+
+    Both paths are held to the reference: the canonical one on every text
+    it takes, and it takes no reformatted text.
+    """
     cap = 2 if model is GenModel.PATH_CYCLE_ONLY else 3
     p = generate(GenSpec(n=n, model=model, list_cap=cap, deviator_fraction=0.3, seed=seed))
     lines = fileio.serialize_instance(p.instance, p.deviators).splitlines()
@@ -667,11 +719,46 @@ def test_parse_instance_matches_the_reference(seed, n, model, kinds, shuffled, d
         lines[first:] = data.draw(st.permutations(lines[first:]))
     for kind in kinds:
         corrupt(lines, kind, n, data.draw)
-    text = "\n".join(lines) + "\n"
-    got, want = outcome(fileio.parse_instance, text), outcome(reference_parse_instance, text)
+    for kind in sorted(formats, key=FORMATS.index):
+        reformat(lines, kind, data.draw)
+    text = join(lines, formats)
+    want = outcome(reference_parse_instance, text)
+    got = outcome(fileio.parse_instance, text)
     assert got == want, text
+    assert outcome(lambda t: validated(fileio._parse_lines(t)), text) == want, text
+    canonical = fileio._parse_canonical(text)
+    if formats:
+        assert canonical is None, text
+    if canonical is not None:
+        assert outcome(lambda _: validated(canonical), text) == want, text
     if not kinds:
         assert got == (p.instance, p.deviators)
+        if not (formats or shuffled):
+            assert canonical is not None
+
+
+def _refuse(text):
+    raise AssertionError("the line-by-line parser was reached")
+
+
+@pytest.mark.parametrize("model", list(GenModel))
+def test_a_canonical_file_takes_the_bulk_path(model, monkeypatch):
+    """parse_instance never tokenizes what serialize_instance writes."""
+    monkeypatch.setattr(fileio, "_tokens", _refuse)
+    problems = [(Instance(0, ((),), sides), frozenset()) for sides in (None, (0,))]
+    problems += [(Instance(1, ((), ()), sides), frozenset({1})) for sides in (None, (1,))]
+    for n in (0, 1, 2, 3, 30, 120):
+        for fraction in (0.0, 0.3):
+            try:
+                p = generate(GenSpec(n=n, model=model, list_cap=2, deviator_fraction=fraction,
+                                     seed=n))
+            except InfeasibleSpec:  # a one-agent two-sided draw
+                continue
+            problems.append((p.instance, p.deviators))
+    assert any(inst.sides is not None for inst, _ in problems)
+    for inst, devs in problems:
+        text = fileio.serialize_instance(inst, devs)
+        assert fileio.parse_instance(text) == (inst, devs), text
 
 
 @pytest.mark.parametrize("model", list(GenModel))
